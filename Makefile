@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-fix-report commvet bench bench-quick bench-compare calibrate plasmad plasmarouter plasmad-smoke plasmad-recovery-smoke plasmad-cluster-smoke store-faults clean
+.PHONY: all build test race lint lint-fix-report commvet bench bench-quick calibrate plasmad plasmarouter plasmad-smoke plasmad-recovery-smoke plasmad-cluster-smoke store-faults clean
 
 all: build
 
@@ -37,24 +37,16 @@ lint-fix-report:
 
 # bench writes BENCH_<date>.json: the reproducible benchmark matrix over
 # the plume case (rank counts x exchange strategies, fixed seed). See the
-# cmd/bench doc comment for the output schema and EXPERIMENTS.md for how
-# to compare two BENCH files. bench-quick is the CI smoke variant.
+# cmd/bench doc comment for the output schema. bench-quick is the CI smoke
+# variant.
 bench:
 	$(GO) run ./cmd/bench
 
 bench-quick:
 	$(GO) run ./cmd/bench -quick
 
-# bench-compare diffs two BENCH files (per-phase median + traffic deltas)
-# and fails on a >20% median-wall regression in any matched cell:
-#   make bench-compare OLD=BENCH_old.json NEW=BENCH_new.json
-bench-compare:
-	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
-	$(GO) run ./cmd/bench -compare $(OLD) $(NEW)
-
-# calibrate fits cost-model unit costs from a v3 BENCH file and writes
-# CALIBRATION.json; plasmasim/plasmad load it with -calibration:
-#   make calibrate BENCH=BENCH_2026-08-06.json
+# calibrate fits cost-model unit costs from a BENCH file and writes
+# CALIBRATION.json; plasmasim/plasmad load it with -calibration.
 calibrate:
 	@test -n "$(BENCH)" || { echo "usage: make calibrate BENCH=BENCH_file.json"; exit 2; }
 	$(GO) run ./cmd/bench -calibrate $(BENCH)

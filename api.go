@@ -168,18 +168,16 @@ const (
 // entries each iteration (Config.PoissonExchange).
 type PoissonExchange = pic.ExchangeMode
 
-// PoissonExchange values: PoissonHalo (the default) ships only
-// partition-boundary nodes point-to-point between neighbouring row blocks;
+// PoissonExchange values. Both run the same owner-local CG (DESIGN.md
+// §6j) and differ only in communication: PoissonOwnerLocal (the default)
+// ships only partition-boundary entries point-to-point — for the charge
+// reduction, the per-iteration ghost refresh and the phi assembly — so the
+// full potential is replicated only on demand (checkpoints, diagnostics);
 // PoissonReplicated re-assembles the full vector through rank 0 every
-// iteration (the paper's scalability-wall structure, for comparison);
-// PoissonOwnerLocal additionally keeps only owned CSR rows plus a ghost
-// layer resident per rank and makes the once-per-solve charge reduction
-// and phi assembly boundary-proportional (DESIGN.md §6j) — the full
-// potential is then replicated only on demand (checkpoints, diagnostics).
+// iteration (the paper's scalability-wall structure, for comparison).
 const (
-	PoissonHalo       = pic.ExchangeHalo
-	PoissonReplicated = pic.ExchangeReplicated
 	PoissonOwnerLocal = pic.ExchangeOwnerLocal
+	PoissonReplicated = pic.ExchangeReplicated
 )
 
 // LoadBalance configures the dynamic load balancer (paper §V).

@@ -12,7 +12,7 @@ import (
 )
 
 // fitCalibration least-squares-fits the cost model's per-unit compute
-// costs from a v3 bench report: each matrix cell contributes one equation
+// costs from a bench report: each matrix cell contributes one equation
 // per phase, pairing the measured phase-total seconds (summed over ranks
 // and steps, median over repeats) with the deterministic work counts.
 //
@@ -34,7 +34,7 @@ func fitCalibration(rep *benchReport) (*core.CalibrationProfile, error) {
 	for i := range rep.Runs {
 		r := &rep.Runs[i]
 		if r.Work == nil || len(r.PhaseTotalS) == 0 {
-			return nil, fmt.Errorf("bench: %s run (ranks=%d %s) has no work counts — regenerate with the v3 bench (schema %q)",
+			return nil, fmt.Errorf("bench: %s run (ranks=%d %s) has no work counts — regenerate it with the current bench (schema %q)",
 				rep.Schema, r.Ranks, r.Strategy, benchSchema)
 		}
 		cells = append(cells, sample{w: r.Work})

@@ -7,7 +7,7 @@ import (
 	"github.com/plasma-hpc/dsmcpic/internal/core"
 )
 
-// syntheticReport fabricates a v3 bench report whose phase totals are
+// syntheticReport fabricates a bench report whose phase totals are
 // generated exactly from known unit costs, so the fit must recover them.
 func syntheticReport(units map[string]float64) *benchReport {
 	rep := &benchReport{Schema: benchSchema}

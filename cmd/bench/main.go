@@ -1,34 +1,20 @@
 // Command bench runs a reproducible benchmark matrix over the plasma-plume
-// case — rank counts × exchange strategies, fixed seeds — and writes the
-// results as a schema-documented JSON file (BENCH_<date>.json by default)
-// for regression comparison across commits.
+// case — rank counts × exchange strategies × kernel worker counts, fixed
+// seeds — and writes the results as a schema-documented JSON file
+// (BENCH_<date>.json by default). The -calibrate mode fits cost-model unit
+// costs from such a file (see calibrate.go).
 //
 // Example:
 //
 //	go run ./cmd/bench -quick            # 2 rank counts × both strategies
 //	go run ./cmd/bench -ranks 2,4,8 -steps 10 -repeats 3 -out BENCH.json
-//	go run ./cmd/bench -compare old.json new.json   # regression diff
+//	go run ./cmd/bench -calibrate BENCH.json
 //
-// The -compare mode prints per-phase median and traffic deltas between two
-// BENCH files and exits nonzero when any matched cell's median wall time
-// regressed by more than 20% (see compare.go).
-//
-// # Output schema ("dsmcpic-bench/v5")
-//
-// v2 adds poisson_exchange, poisson_iters and poisson_final_residual to
-// each run; everything in v1 is unchanged. v3 adds phase_total_s (measured
-// seconds per phase summed over every rank and step, median over repeats)
-// and work (deterministic global work counts summed over ranks) — the
-// inputs of the -calibrate fit. v4 adds workers (per-rank kernel worker
-// goroutines) as a matrix dimension; absent or 0 means 1 (the serial
-// path), so v3 files compare cleanly against v4 workers=1 cells. v5 adds
-// poisson_mem (the per-rank resident footprint of the distributed Poisson
-// solver, max over ranks) so -compare can gate owner-local memory
-// regressions; older files without the field compare traffic-only.
+// # Output schema ("dsmcpic-bench/v6")
 //
 // Top level:
 //
-//	schema       string   "dsmcpic-bench/v2"
+//	schema       string   "dsmcpic-bench/v6"
 //	date         string   RFC 3339 timestamp of the run
 //	go           string   runtime.Version()
 //	goos, goarch string   host platform
@@ -42,9 +28,8 @@
 //
 //	ranks            int                 world size
 //	workers          int                 kernel worker goroutines per rank
-//	                                     (absent/0 = 1, the serial path)
 //	strategy         string              "CC" or "DC"
-//	poisson_exchange string              "halo" or "replicated" (CG ghost refresh)
+//	poisson_exchange string              "owner" or "replicated" (CG communication)
 //	wall_seconds     []float64           host wall time of each repeat
 //	wall_median_s    float64             median of wall_seconds
 //	phase_median_s   map[phase]float64   median measured per-phase seconds,
@@ -64,19 +49,13 @@
 //	                                     (rank 0's Poisson_Iters counter;
 //	                                     identical on all ranks — collective)
 //	poisson_final_residual float64       last solve's relative residual
-//	poisson_mem      object              per-rank resident Poisson solver
-//	                                     state, max over ranks (owned rows,
-//	                                     ghost cols, matrix/vector/index-map
-//	                                     bytes; core's Poisson_Mem_* gauges).
-//	                                     Deterministic; v5+ only
 //	modeled_total_s  float64             cost-model total for cross-checking
 //	traffic          map[phase]stats     global sent messages/bytes/local per
 //	                                     traffic phase, summed over ranks
 //	                                     (identical across repeats)
 //
 // Wall times and phase timings vary with host load; everything else is
-// deterministic for a given seed and binary. Compare two BENCH files by
-// phase_median_s ratios and by exact equality of particles and traffic.
+// deterministic for a given seed and binary.
 package main
 
 import (
@@ -127,25 +106,6 @@ type workCounts struct {
 	CGIterNNZ     int64 `json:"cg_iter_nnz"`
 }
 
-// poissonMem is the per-rank resident footprint of the distributed
-// Poisson solver — each field the maximum over ranks of the last recorded
-// core Poisson_Mem_* gauge. Owner-local runs report O(nodes/P + ghosts)
-// here; legacy modes report their replicated O(nodes) state, which is the
-// contrast the -compare resident-bytes gate watches.
-type poissonMem struct {
-	OwnedRowsMax     int64 `json:"owned_rows_max"`
-	GhostColsMax     int64 `json:"ghost_cols_max"`
-	MatrixBytesMax   int64 `json:"matrix_bytes_max"`
-	VectorBytesMax   int64 `json:"vector_bytes_max"`
-	IndexMapBytesMax int64 `json:"index_map_bytes_max"`
-}
-
-// residentBytes is the quantity the -compare regression gate tracks: the
-// busiest rank's matrix + vector + index-map bytes.
-func (m *poissonMem) residentBytes() int64 {
-	return m.MatrixBytesMax + m.VectorBytesMax + m.IndexMapBytesMax
-}
-
 type runResult struct {
 	Ranks           int                     `json:"ranks"`
 	Workers         int                     `json:"workers,omitempty"`
@@ -161,7 +121,6 @@ type runResult struct {
 	Particles       int                     `json:"particles"`
 	PoissonIters    int64                   `json:"poisson_iters"`
 	PoissonResidual float64                 `json:"poisson_final_residual"`
-	PoissonMem      *poissonMem             `json:"poisson_mem,omitempty"`
 	ModeledTotalS   float64                 `json:"modeled_total_s"`
 	Traffic         map[string]trafficStats `json:"traffic"`
 }
@@ -189,9 +148,8 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "simulation seed (fixed across the matrix)")
 		out       = flag.String("out", "", "output JSON path (default BENCH_<date>.json)")
 		injectH   = flag.Int("inject-h", 1500, "H particles injected per step (global)")
-		poissonEx = flag.String("poisson-exchange", "halo", "Poisson CG ghost refresh: halo (boundary scatter), replicated (full vector via rank 0) or owner (owner-local rows, boundary-only charge/phi traffic)")
-		compare   = flag.Bool("compare", false, "diff two BENCH files: bench -compare old.json new.json; exits 1 on >20% wall regression")
-		calibrate = flag.String("calibrate", "", "fit cost-model unit costs from a v3 BENCH file and write a calibration profile")
+		poissonEx = flag.String("poisson-exchange", "owner", "Poisson CG communication: owner (boundary-only charge, ghost and phi traffic) or replicated (full vector via rank 0, the paper's structure)")
+		calibrate = flag.String("calibrate", "", "fit cost-model unit costs from a BENCH file and write a calibration profile")
 		calibOut  = flag.String("calibration-out", "CALIBRATION.json", "output path for -calibrate")
 	)
 	flag.Parse()
@@ -213,25 +171,7 @@ func main() {
 		fmt.Printf("wrote %s (%d units)\n", *calibOut, len(prof.Units))
 		return
 	}
-	if *compare {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-compare wants exactly two arguments: old.json new.json"))
-		}
-		oldRep, err := readReport(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		newRep, err := readReport(flag.Arg(1))
-		if err != nil {
-			fatal(err)
-		}
-		if compareReports(os.Stdout, oldRep, newRep, wallRegressionLimitPct) {
-			fmt.Fprintf(os.Stderr, "bench: wall-time regression above %g%% detected\n", wallRegressionLimitPct)
-			os.Exit(1)
-		}
-		return
-	}
-	exMode, err := pic.ParseExchangeMode(*poissonEx)
+	exMode, err := pic.ParseExchangeModeStrict(*poissonEx)
 	if err != nil {
 		fatal(err)
 	}
@@ -358,7 +298,6 @@ func benchCell(n int, strat exchange.Strategy, exMode pic.ExchangeMode, steps, r
 		// ranks would just multiply by the world size).
 		res.PoissonIters = collector.Rank(0).CounterTotal(core.MetricPoissonIters)
 		res.PoissonResidual = stats.Ranks[0].PoissonResidual
-		res.PoissonMem = collectPoissonMem(collector)
 	}
 	res.WallMedianS = median(res.WallSeconds)
 	for phase, samples := range phaseSamples {
@@ -409,36 +348,7 @@ func benchConfig(strat exchange.Strategy, exMode pic.ExchangeMode, steps int, se
 }
 
 // benchSchema is the current output schema tag.
-const benchSchema = "dsmcpic-bench/v5"
-
-// collectPoissonMem reduces the per-rank resident-state gauges to their
-// maxima over ranks (bulk-synchronous memory is bounded by the fattest
-// rank). Returns nil when the gauges were never recorded, so pre-gauge
-// collectors produce files without the v5 field rather than zeros.
-func collectPoissonMem(c *metrics.Collector) *poissonMem {
-	var m poissonMem
-	recorded := false
-	maxInto := func(dst *int64, reg *metrics.Registry, name string) {
-		if v, ok := reg.GaugeLast(name); ok {
-			recorded = true
-			if v > *dst {
-				*dst = v
-			}
-		}
-	}
-	for r := 0; r < c.Size(); r++ {
-		reg := c.Rank(r)
-		maxInto(&m.OwnedRowsMax, reg, core.GaugePoissonOwnedRows)
-		maxInto(&m.GhostColsMax, reg, core.GaugePoissonGhostCols)
-		maxInto(&m.MatrixBytesMax, reg, core.GaugePoissonMatrixBytes)
-		maxInto(&m.VectorBytesMax, reg, core.GaugePoissonVectorBytes)
-		maxInto(&m.IndexMapBytesMax, reg, core.GaugePoissonIndexMapBytes)
-	}
-	if !recorded {
-		return nil
-	}
-	return &m
-}
+const benchSchema = "dsmcpic-bench/v6"
 
 // sumWork flattens a run's per-rank work counts into the global totals the
 // calibration fit consumes. CGIterNNZ multiplies before summing: each
@@ -460,9 +370,7 @@ func sumWork(stats *core.RunStats) *workCounts {
 	return w
 }
 
-// readReport loads a BENCH JSON file for the -compare and -calibrate modes.
-// All schema versions load (fields missing from older versions decode to
-// zeros; -calibrate additionally requires the v3 work counts).
+// readReport loads a BENCH JSON file of the current schema for -calibrate.
 func readReport(path string) (*benchReport, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -472,8 +380,8 @@ func readReport(path string) (*benchReport, error) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", path, err)
 	}
-	if !strings.HasPrefix(rep.Schema, "dsmcpic-bench/") {
-		return nil, fmt.Errorf("bench: %s: unrecognized schema %q", path, rep.Schema)
+	if rep.Schema != benchSchema {
+		return nil, fmt.Errorf("bench: %s: schema %q, want %q (rerun the bench to regenerate it)", path, rep.Schema, benchSchema)
 	}
 	return &rep, nil
 }

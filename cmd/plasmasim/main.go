@@ -46,7 +46,7 @@ func main() {
 		dt         = flag.Float64("dt", 1.2586e-6, "DSMC timestep (s)")
 		drift      = flag.Float64("drift", 10000, "inlet drift speed (m/s)")
 		strategy   = flag.String("strategy", "dc", "particle exchange strategy: dc or cc")
-		poissonEx  = flag.String("poisson-exchange", "halo", "Poisson CG ghost refresh: halo (boundary scatter), replicated (full vector via rank 0) or owner (owner-local rows, boundary-only charge/phi traffic)")
+		poissonEx  = flag.String("poisson-exchange", "owner", "Poisson CG communication: owner (boundary-only charge, ghost and phi traffic) or replicated (full vector via rank 0, the paper's structure)")
 		lb         = flag.Bool("lb", true, "enable the dynamic load balancer")
 		lbT        = flag.Int("lb-t", 5, "load balance check interval T (DSMC steps)")
 		lbThr      = flag.Float64("lb-threshold", 2.0, "lii threshold")
@@ -84,7 +84,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
 		os.Exit(2)
 	}
-	exMode, exErr := pic.ParseExchangeMode(*poissonEx)
+	exMode, exErr := pic.ParseExchangeModeStrict(*poissonEx)
 	if exErr != nil {
 		fmt.Fprintln(os.Stderr, exErr)
 		os.Exit(2)

@@ -24,9 +24,11 @@ import (
 // it must be a deliberate, migration-aware decision, not a drive-by field
 // reorder. The pinned value covers the defaulting rules too: a JobSpec
 // field added without omitempty, a changed default, or a reordered field
-// all change this hash.
+// all change this hash. (It last moved on purpose when the poisson_exchange
+// default became "owner": results cached under the old default are no
+// longer served, see serve's TestRecoverySkipsRetiredExchangeDefault.)
 func TestSpecKeyCanonicalBytesPinned(t *testing.T) {
-	const pinnedEmpty = "3fcdeefaeec35d127a6504f8a433e0590d717248b95d728f4e9fea3c0059c1c8"
+	const pinnedEmpty = "dd4295cb746993466dad27f5c826dad1d2b5eea4d2876acd48e26b8e118ed3ae"
 	key, err := serve.SpecKey(serve.JobSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +45,7 @@ func TestSpecKeyCanonicalBytesPinned(t *testing.T) {
 		Ranks: 2, Steps: 8, SimWorkers: 1, PICSubsteps: 2, DtDSMC: 1.2586e-6,
 		InjectHPerStep: 1500, InjectIonPerStep: 150, Temperature: 300,
 		Drift: 10000, WeightH: 1e12, WeightIon: 6000,
-		Strategy: "dc", PoissonExchange: "halo", PoissonTol: 1e-6,
+		Strategy: "dc", PoissonExchange: "owner", PoissonTol: 1e-6,
 		LBT: 5, LBThreshold: 2.0,
 	}
 	if k, _ := serve.SpecKey(explicit); k != pinnedEmpty {

@@ -38,11 +38,11 @@ func runWithSnapshots(t *testing.T, every int, mode pic.ExchangeMode) [][]byte {
 // daemon's cache relies on: one frame per window, plausible physics in
 // the fields, and byte-identical frame sequences across replays.
 func TestSnapshotFramesDeterministic(t *testing.T) {
-	a := runWithSnapshots(t, 2, pic.ExchangeHalo)
+	a := runWithSnapshots(t, 2, pic.ExchangeReplicated)
 	if len(a) != 3 { // 6 steps / every 2
 		t.Fatalf("got %d frames for 6 steps at every=2, want 3", len(a))
 	}
-	b := runWithSnapshots(t, 2, pic.ExchangeHalo)
+	b := runWithSnapshots(t, 2, pic.ExchangeReplicated)
 	if len(a) != len(b) {
 		t.Fatalf("replay frame count diverged: %d vs %d", len(a), len(b))
 	}

@@ -95,9 +95,9 @@ func Run(rs RunSpec) (*core.RunStats, error) {
 		// Paper reproduction runs the paper's Poisson communication
 		// structure: a full-vector re-assembly every CG iteration, whose
 		// O(nodes) rank-independent traffic is the Table IV scalability
-		// wall these experiments exist to exhibit. The halo solver (the
-		// repo's optimization beyond the paper, and the default
-		// elsewhere) is benchmarked against it by cmd/bench instead.
+		// wall these experiments exist to exhibit. The owner-local mode
+		// (the repo's optimization beyond the paper, and the default
+		// elsewhere) is measured against it by the benchmark lab.
 		PoissonExchange: pic.ExchangeReplicated,
 		Seed:            rs.Seed + 1, // keep 0 a valid caller seed
 	}

@@ -31,72 +31,80 @@ func NodeOwners(ref *mesh.Refinement, coarseOwner []int32) []int32 {
 	return owners
 }
 
-// ExchangeMode selects how the distributed CG refreshes the off-owner
-// ("ghost") entries of the search direction each iteration.
+// ExchangeMode selects the communication hooks of the distributed CG: how
+// the nodal charge is reduced, how the ghost entries of the search
+// direction are refreshed each iteration, and how the converged potential
+// is published. Both modes run the same owner-local CG loop (DESIGN.md
+// §6j).
 type ExchangeMode int
 
 const (
-	// ExchangeHalo — the default — ships only partition-boundary entries
-	// point-to-point between neighbouring row blocks, from precomputed
-	// per-neighbour index lists (a PETSc VecScatter analogue). The
-	// per-iteration traffic is O(partition boundary) per rank with no
-	// rank-0 fan-in.
-	ExchangeHalo ExchangeMode = iota
-	// ExchangeReplicated re-assembles the full vector through rank 0 every
-	// iteration (Gatherv + Bcast, O(nodes) regardless of rank count) —
-	// the worst-case form of the paper's Poisson scalability wall
-	// (Table IV), kept selectable for benchmark comparison.
+	// ExchangeOwnerLocal — the default — is true row ownership: the charge
+	// reduction ships only partition-boundary contributions point-to-point
+	// to the nodes' owners, each iteration refreshes ghosts from
+	// per-neighbour index lists (a PETSc VecScatter analogue), and
+	// converged phi goes only to the ranks whose owned fine cells read it.
+	// All traffic is O(partition boundary) with no rank-0 fan-in.
+	// Construct with NewDistSolverOwnerLocal (the mode needs fine-cell
+	// ownership).
+	ExchangeOwnerLocal ExchangeMode = iota
+	// ExchangeReplicated is the paper's communication structure: a
+	// full-vector charge allreduce, and a ghost refresh and final assembly
+	// that re-assemble the full vector through rank 0 (Gatherv + Bcast,
+	// O(nodes) regardless of rank count) — the worst-case form of the
+	// Poisson scalability wall (Table IV) the paper reproductions exhibit.
 	ExchangeReplicated
-	// ExchangeOwnerLocal is true row ownership (DESIGN.md §6j): the solver
-	// keeps only its owned CSR rows plus a ghost column layer
-	// (sparse.LocalCSR), the charge reduction ships only
-	// partition-boundary contributions point-to-point to node owners, and
-	// converged phi is delivered only to the ranks whose owned fine cells
-	// read it. Per-solve once-only traffic is O(partition boundary) and
-	// per-rank solver memory is O(nodes/P + ghosts). Construct with
-	// NewDistSolverOwnerLocal (the mode needs fine-cell ownership).
-	ExchangeOwnerLocal
 )
 
-// String returns the mode's config-file spelling
-// ("halo"/"replicated"/"owner").
+// String returns the mode's config-file spelling ("owner"/"replicated").
 func (m ExchangeMode) String() string {
 	switch m {
-	case ExchangeHalo:
-		return "halo"
-	case ExchangeReplicated:
-		return "replicated"
 	case ExchangeOwnerLocal:
 		return "owner"
+	case ExchangeReplicated:
+		return "replicated"
 	default:
 		return fmt.Sprintf("ExchangeMode(%d)", int(m))
 	}
 }
 
-// ParseExchangeMode inverts ExchangeMode.String.
-func ParseExchangeMode(s string) (ExchangeMode, error) {
+// ParseExchangeModeStrict inverts ExchangeMode.String and rejects every
+// other spelling. It is what the command-line flags and the plasmad
+// JobSpec accept.
+func ParseExchangeModeStrict(s string) (ExchangeMode, error) {
 	switch s {
-	case "halo":
-		return ExchangeHalo, nil
-	case "replicated":
-		return ExchangeReplicated, nil
 	case "owner":
 		return ExchangeOwnerLocal, nil
+	case "replicated":
+		return ExchangeReplicated, nil
 	}
-	return 0, fmt.Errorf("pic: unknown Poisson exchange mode %q (want halo, replicated or owner)", s)
+	return 0, fmt.Errorf("pic: unknown Poisson exchange mode %q (want owner or replicated)", s)
+}
+
+// ParseExchangeMode is ParseExchangeModeStrict that also reads the retired
+// mode name "halo", as ExchangeOwnerLocal. Only benchmark/lab.go relies on
+// that: it still declares pic.solve.halo.* metrics and its test wants every
+// declared metric measured, so those metrics repeat the owner numbers and
+// say nothing about the retired mode. Fold this into the strict parser once
+// the benchmark drops them.
+func ParseExchangeMode(s string) (ExchangeMode, error) {
+	if s == "halo" {
+		return ExchangeOwnerLocal, nil
+	}
+	return ParseExchangeModeStrict(s)
 }
 
 // DistSolver runs the Poisson solve with the communication structure of a
 // row-distributed parallel Krylov solver (the paper's PETSc KSP usage,
-// §IV-C): each rank computes only the matrix rows of the nodes it owns,
-// inner products are allreduced, and the ghost entries the owned rows read
-// are refreshed per iteration by the configured ExchangeMode. The full
-// potential vector is assembled once, at the end of the solve, not every
-// iteration.
+// §IV-C): each rank keeps only the matrix rows of the nodes it owns plus a
+// ghost column layer (sparse.LocalCSR), inner products are allreduced, and
+// the ExchangeMode supplies the three communication hooks (charge
+// reduction, ghost refresh, phi assembly).
 //
-// Both modes execute the identical floating-point sequence on owned rows
-// (only which p entries get refreshed differs — halo refreshes exactly the
-// entries owned rows read), so they produce bitwise-identical iterates.
+// Both modes execute the identical floating-point sequence on owned rows,
+// so given the same right-hand side their iterates match bitwise; only the
+// boundary-node charge summation order differs between the point-to-point
+// reduction and the full-vector allreduce.
 type DistSolver struct {
 	P     *Poisson
 	Owner []int32
@@ -104,46 +112,34 @@ type DistSolver struct {
 
 	ownedByRank [][]int32
 	mine        []int32
-	invDiag     []float64
-
-	// Halo index lists (the VecScatter analogue), derived from the
-	// owned-row CSR column pattern. K is replicated on every rank, so both
-	// sides of every pairing are computed locally and agree exactly:
-	// sendIdx[q] lists my owned nodes that rank q's rows reference (what I
-	// must ship to q); recvIdx[q] lists q's owned nodes my rows reference
-	// (my ghosts from q). Both are sorted ascending, which fixes the
-	// packing order on the wire.
-	sendIdx [][]int32
-	recvIdx [][]int32
-	sendNbr []int // ranks with non-empty sendIdx, ascending
-	recvNbr []int // ranks with non-empty recvIdx, ascending
+	local       *sparse.LocalCSR
+	invDiagL    []float64
 
 	// Reused buffers: everything the per-iteration path touches is
-	// allocated once here, so steady-state solves allocate nothing.
-	// sendBuf[q] is repacked each exchange; that is safe without copying
-	// (simmpi does not copy payloads) because at least one allreduce
-	// completes between consecutive exchanges, and a finished allreduce
-	// proves every peer contributed — i.e. passed its previous receive
-	// phase and fully decoded the previous payload.
-	sendBuf [][]byte
-	b       []float64
-	r       []float64
-	z       []float64
-	p       []float64
-	ap      []float64
-	red     [3]float64 // fused-allreduce operand
-	scratch []float64  // owned-segment gather for assembly/replication
-	encBuf  []byte     // owned-segment encode buffer
-	fullBuf []float64  // rank-0 scratch for full-vector assembly
-	fullEnc []byte     // rank-0 encode buffer for the assembled vector
+	// allocated once at construction, so steady-state solves allocate
+	// nothing.
+	red    [3]float64 // fused-allreduce operand
+	encBuf []byte     // owned-segment encode buffer
 
-	// Owner-local state (ExchangeOwnerLocal only; see owner.go). The CG
-	// vectors above stay nil in this mode — the solve runs on the local
-	// vectors below, sized O(owned + ghosts) instead of O(nodes).
-	local    *sparse.LocalCSR
-	invDiagL []float64
-	sendIdxL [][]int32 // halo send lists in local (owned) ids
-	recvIdxL [][]int32 // halo recv lists in local (ghost) ids
+	bL, rL, zL, apL, chgL []float64 // owned-length CG state
+	pL, xL                []float64 // owned+ghost (matvec reads ghosts)
+
+	// Replicated-mode state: full is the n-length broadcast receive buffer
+	// (and rank 0's assembly scratch); fullEnc is rank 0's encode buffer.
+	full    []float64
+	fullEnc []byte
+
+	// Owner-mode state (see owner.go). Ghost refresh: sendIdxL[q] lists my
+	// owned local ids that rank q's rows read, recvIdxL[q] the ghost local
+	// ids q owns. sendBuf[q] is repacked each refresh; that is safe without
+	// copying (simmpi does not copy payloads) because at least one
+	// allreduce completes between consecutive refreshes, and a finished
+	// allreduce proves every peer decoded the previous payload.
+	sendIdxL [][]int32
+	recvIdxL [][]int32
+	sendNbr  []int // ranks with non-empty sendIdxL, ascending
+	recvNbr  []int // ranks with non-empty recvIdxL, ascending
+	sendBuf  [][]byte
 
 	// Charge/consumer pairing, derived from fine-cell ownership. My
 	// consumer set is the nodes of my owned fine cells (deposit writes and
@@ -160,54 +156,30 @@ type DistSolver struct {
 	chgRecvNbr []int
 	chgSendBuf [][]byte
 	phiSendBuf [][]byte
-
-	bL, rL, zL, apL, chgL []float64 // owned-length CG state
-	pL, xL                []float64 // owned+ghost (matvec reads ghosts)
 }
 
-// NewDistSolver prepares ownership tables (and, in halo mode, the
-// neighbour index lists) for a world of nRanks. rank is this rank's id.
-// ExchangeOwnerLocal additionally needs fine-cell ownership — use
-// NewDistSolverOwnerLocal for that mode.
+// NewDistSolver prepares a replicated-mode solver for a world of nRanks;
+// rank is this rank's id. ExchangeOwnerLocal needs fine-cell ownership —
+// use NewDistSolverOwnerLocal for that mode.
 func NewDistSolver(p *Poisson, owner []int32, nRanks, rank int, mode ExchangeMode) (*DistSolver, error) {
-	if mode == ExchangeOwnerLocal {
-		return nil, fmt.Errorf("pic: owner-local mode needs fine-cell ownership; use NewDistSolverOwnerLocal")
+	if mode != ExchangeReplicated {
+		return nil, fmt.Errorf("pic: %v mode needs fine-cell ownership; use NewDistSolverOwnerLocal", mode)
 	}
 	d, err := newDistBase(p, owner, nRanks, rank, mode)
 	if err != nil {
 		return nil, err
 	}
-	diag := p.K.Diag()
-	d.invDiag = make([]float64, len(diag))
-	for i, x := range diag {
-		if x != 0 {
-			d.invDiag[i] = 1 / x
-		} else {
-			d.invDiag[i] = 1
-		}
-	}
 	n := p.Fine.NumNodes()
-	d.b = make([]float64, n)
-	d.r = make([]float64, n)
-	d.z = make([]float64, n)
-	d.p = make([]float64, n)
-	d.ap = make([]float64, n)
-	// All encode buffers the solve path reuses are sized here, up front,
-	// so steady-state solves are allocation-free (hotalloc: the full-vector
-	// scratch used to be allocated lazily inside exchangeReplicated).
-	d.encBuf = make([]byte, 8*len(d.mine))
-	if mode == ExchangeReplicated && rank == 0 {
-		d.fullBuf = make([]float64, n)
+	d.full = make([]float64, n)
+	if rank == 0 {
 		d.fullEnc = make([]byte, 8*n)
-	}
-	if mode == ExchangeHalo {
-		d.buildHalo(nRanks, rank)
 	}
 	return d, nil
 }
 
-// newDistBase validates the node-owner table and builds the ownership
-// index shared by every exchange mode.
+// newDistBase validates the node-owner table and builds the state shared
+// by both modes: the ownership index, the partition-local CSR view and
+// the CG vectors.
 func newDistBase(p *Poisson, owner []int32, nRanks, rank int, mode ExchangeMode) (*DistSolver, error) {
 	if len(owner) != p.Fine.NumNodes() {
 		return nil, fmt.Errorf("pic: owner table has %d entries for %d nodes", len(owner), p.Fine.NumNodes())
@@ -220,49 +192,31 @@ func newDistBase(p *Poisson, owner []int32, nRanks, rank int, mode ExchangeMode)
 		d.ownedByRank[r] = append(d.ownedByRank[r], int32(n))
 	}
 	d.mine = d.ownedByRank[rank]
-	d.scratch = make([]float64, len(d.mine))
-	return d, nil
-}
+	d.encBuf = make([]byte, 8*len(d.mine))
 
-// buildHalo computes the per-neighbour send/recv index lists from the CSR
-// column pattern: one pass over all rows (K is replicated, so remote rows
-// are visible locally and both endpoints of each pairing derive identical
-// lists without any structural-symmetry assumption).
-func (d *DistSolver) buildHalo(nRanks, rank int) {
-	k := d.P.K
-	me := int32(rank)
-	d.sendIdx = make([][]int32, nRanks)
-	d.recvIdx = make([][]int32, nRanks)
-	for i := range d.Owner {
-		rowOwner := d.Owner[i]
-		if rowOwner == me {
-			for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
-				j := k.ColIdx[e]
-				if o := d.Owner[j]; o != me {
-					d.recvIdx[o] = append(d.recvIdx[o], j)
-				}
-			}
+	var err error
+	if d.local, err = sparse.NewLocalCSR(p.K, d.mine); err != nil {
+		return nil, err
+	}
+	diag := d.local.DiagOwned()
+	d.invDiagL = make([]float64, len(diag))
+	for i, x := range diag {
+		if x != 0 {
+			d.invDiagL[i] = 1 / x
 		} else {
-			for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
-				j := k.ColIdx[e]
-				if d.Owner[j] == me {
-					d.sendIdx[rowOwner] = append(d.sendIdx[rowOwner], j)
-				}
-			}
+			d.invDiagL[i] = 1
 		}
 	}
-	d.sendBuf = make([][]byte, nRanks)
-	for q := 0; q < nRanks; q++ {
-		d.sendIdx[q] = sortUnique(d.sendIdx[q])
-		d.recvIdx[q] = sortUnique(d.recvIdx[q])
-		if len(d.sendIdx[q]) > 0 {
-			d.sendNbr = append(d.sendNbr, q)
-			d.sendBuf[q] = make([]byte, 8*len(d.sendIdx[q]))
-		}
-		if len(d.recvIdx[q]) > 0 {
-			d.recvNbr = append(d.recvNbr, q)
-		}
-	}
+	nOwn := d.local.NumOwned()
+	tot := nOwn + d.local.NumGhost()
+	d.bL = make([]float64, nOwn)
+	d.rL = make([]float64, nOwn)
+	d.zL = make([]float64, nOwn)
+	d.apL = make([]float64, nOwn)
+	d.chgL = make([]float64, nOwn)
+	d.pL = make([]float64, tot)
+	d.xL = make([]float64, tot)
+	return d, nil
 }
 
 // sortUnique sorts ids ascending and drops duplicates in place.
@@ -283,185 +237,148 @@ func sortUnique(ids []int32) []int32 {
 // OwnedNodes returns the node ids this rank owns (do not modify).
 func (d *DistSolver) OwnedNodes() []int32 { return d.mine }
 
-// HaloSendIdx returns the owned nodes shipped to rank q each iteration in
-// halo mode (do not modify; nil outside halo mode or for non-neighbours).
-func (d *DistSolver) HaloSendIdx(q int) []int32 {
-	if d.sendIdx == nil {
-		return nil
-	}
-	return d.sendIdx[q]
-}
-
-// HaloRecvIdx returns the ghost nodes received from rank q each iteration
-// in halo mode (do not modify; nil outside halo mode or non-neighbours).
-func (d *DistSolver) HaloRecvIdx(q int) []int32 {
-	if d.recvIdx == nil {
-		return nil
-	}
-	return d.recvIdx[q]
-}
-
-// dotAt computes sum over idx of a[i]*b[i].
+// dotOwned computes sum over the first n entries of a[i]*b[i]: the owned
+// prefix in ascending global order, the same summation order on every
+// mode.
 //
 //commvet:hot
-func dotAt(idx []int32, a, b []float64) float64 {
+func dotOwned(n int, a, b []float64) float64 {
 	var s float64
-	for _, i := range idx {
+	for i := 0; i < n; i++ {
 		s += a[i] * b[i]
 	}
 	return s
 }
 
-// spread refreshes the ghost entries of vec that owned rows read. In halo
-// mode that is a point-to-point boundary exchange; in replicated mode the
-// whole vector is re-assembled through rank 0 (the pre-halo behaviour).
+// reduceCharge sums the per-rank nodal charge contributions into the owned
+// charge chgL (paper §IV-C: interior nodes have one contributor,
+// partition-boundary nodes sum over neighbours).
+func (d *DistSolver) reduceCharge(comm *simmpi.Comm, nodeChargeLocal []float64) {
+	if d.Mode == ExchangeReplicated {
+		charge := comm.AllreduceFloat64(nodeChargeLocal, simmpi.OpSum)
+		for li, g := range d.mine {
+			d.chgL[li] = charge[g]
+		}
+		return
+	}
+	prev := comm.Phase()
+	comm.SetPhase(PhasePoissonCharge)
+	d.reduceChargeBoundary(comm, nodeChargeLocal)
+	comm.SetPhase(prev)
+}
+
+// seedGuess loads the initial guess into xL: owned entries carry over from
+// the previous solve via phi. In replicated mode phi is fully replicated,
+// so the ghost tail copies straight from it without a message; in owner
+// mode the CSR ghost tail (which can exceed the consumer set phi keeps
+// fresh) is refreshed from the owners.
+func (d *DistSolver) seedGuess(comm *simmpi.Comm, phi []float64) {
+	for li, g := range d.mine {
+		d.xL[li] = phi[g]
+	}
+	if d.Mode == ExchangeReplicated {
+		nOwn := len(d.mine)
+		for j, g := range d.local.Ghosts() {
+			d.xL[nOwn+j] = phi[g]
+		}
+		return
+	}
+	d.spreadOwnerLocal(comm, d.xL)
+}
+
+// spread refreshes the ghost tail of a local vector from the owners. The
+// replicated refresh re-assembles the full vector through rank 0 into the
+// hoisted n-length buffer and copies the ghost tail out of it.
 //
 //commvet:hot
 func (d *DistSolver) spread(comm *simmpi.Comm, vec []float64) {
-	if d.Mode == ExchangeReplicated {
-		d.exchangeReplicated(comm, vec)
+	if d.Mode != ExchangeReplicated {
+		d.spreadOwnerLocal(comm, vec)
 		return
 	}
-	d.haloExchange(comm, vec)
-}
-
-// haloExchange ships only the index-listed boundary entries between
-// neighbours, in the two ordered rounds of the distributed particle
-// exchange (paper §IV-B2): round 1 moves low→high pairs (send to higher
-// neighbours ascending, then drain lower neighbours ascending), round 2
-// moves high→low. Sends are posted before the round's receives — simmpi
-// sends never block, matching eager/Isend semantics for these small
-// boundary payloads — so the schedule cannot deadlock.
-//
-//commvet:hot
-func (d *DistSolver) haloExchange(comm *simmpi.Comm, vec []float64) {
-	me := comm.Rank()
-	// Round 1: low -> high.
-	for _, q := range d.sendNbr {
-		if q > me {
-			d.sendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.sendBuf[q], vec, d.sendIdx[q])
-			comm.Send(q, simmpi.TagPoissonHalo, d.sendBuf[q])
-		}
-	}
-	for _, q := range d.recvNbr {
-		if q < me {
-			simmpi.DecodeFloat64sScatter(vec, d.recvIdx[q], comm.Recv(q, simmpi.TagPoissonHalo))
-		}
-	}
-	// Round 2: high -> low.
-	for _, q := range d.sendNbr {
-		if q < me {
-			d.sendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.sendBuf[q], vec, d.sendIdx[q])
-			comm.Send(q, simmpi.TagPoissonHalo, d.sendBuf[q])
-		}
-	}
-	for _, q := range d.recvNbr {
-		if q > me {
-			simmpi.DecodeFloat64sScatter(vec, d.recvIdx[q], comm.Recv(q, simmpi.TagPoissonHalo))
-		}
+	nOwn := len(d.mine)
+	d.replicate(comm, vec[:nOwn], d.full)
+	for j, g := range d.local.Ghosts() {
+		vec[nOwn+j] = d.full[g]
 	}
 }
 
-// exchangeReplicated re-assembles the full vector from per-rank owned
-// segments: gather the owned values at rank 0, which assembles and
-// broadcasts the full vector. Per-iteration traffic is O(nodes) regardless
-// of rank count, funnelled through rank 0 — the communication structure
-// behind the paper's Poisson scalability wall. The rank-0 assembly scratch
-// (fullBuf/fullEnc) is hoisted into NewDistSolver: this runs every CG
-// iteration and must not allocate.
+// replicate re-assembles a full vector from per-rank owned segments into
+// dst on every rank: gather the owned values at rank 0, which assembles
+// and broadcasts the full vector. Traffic is O(nodes) regardless of rank
+// count, funnelled through rank 0 — the communication structure behind
+// the paper's Poisson scalability wall. encBuf is repacked on every call;
+// see the sendBuf note on DistSolver for why that is safe.
 //
 //commvet:hot
-func (d *DistSolver) exchangeReplicated(comm *simmpi.Comm, vec []float64) {
-	for k, i := range d.mine {
-		d.scratch[k] = vec[i]
-	}
-	d.encBuf = simmpi.EncodeFloat64sInto(d.encBuf, d.scratch)
+func (d *DistSolver) replicate(comm *simmpi.Comm, owned, dst []float64) {
+	d.encBuf = simmpi.EncodeFloat64sInto(d.encBuf, owned)
 	parts := comm.Gatherv(0, d.encBuf)
 	var blob []byte
 	if comm.Rank() == 0 {
 		for q, ids := range d.ownedByRank {
-			simmpi.DecodeFloat64sScatter(d.fullBuf, ids, parts[q])
+			simmpi.DecodeFloat64sScatter(d.full, ids, parts[q])
 		}
-		d.fullEnc = simmpi.EncodeFloat64sInto(d.fullEnc, d.fullBuf)
+		d.fullEnc = simmpi.EncodeFloat64sInto(d.fullEnc, d.full)
 		blob = d.fullEnc
 	}
 	blob = comm.Bcast(0, blob)
-	simmpi.DecodeFloat64sInto(vec, blob)
+	simmpi.DecodeFloat64sInto(dst, blob)
 }
 
-// assemble replicates vec (each rank contributing its owned entries) on
-// every rank. Halo mode allgathers the owned segments — this runs once per
-// solve, at convergence, not per iteration; replicated mode reuses its
-// rank-0 assembly, keeping that mode's traffic exactly its historical
-// shape.
-func (d *DistSolver) assemble(comm *simmpi.Comm, vec []float64) {
+// assemble publishes the converged xL into phi: replicated mode
+// re-assembles the full vector on every rank; owner mode delivers each
+// value only to the ranks that read it.
+func (d *DistSolver) assemble(comm *simmpi.Comm, phi []float64) {
 	if d.Mode == ExchangeReplicated {
-		d.exchangeReplicated(comm, vec)
+		d.replicate(comm, d.xL[:len(d.mine)], phi)
 		return
 	}
-	for k, i := range d.mine {
-		d.scratch[k] = vec[i]
-	}
-	d.encBuf = simmpi.EncodeFloat64sInto(d.encBuf, d.scratch)
-	parts := comm.Allgatherv(d.encBuf)
-	for q, ids := range d.ownedByRank {
-		if q == comm.Rank() {
-			continue // own entries are already in vec
-		}
-		simmpi.DecodeFloat64sScatter(vec, ids, parts[q])
-	}
+	d.assembleOwnerLocal(comm, phi)
 }
 
-// Solve reduces the per-rank nodal charge contributions, builds the RHS,
-// and runs the distributed preconditioned CG. phi (full length) is the
-// initial guess and is overwritten with the replicated solution on every
-// rank. All ranks must call Solve collectively. Zero opts fields resolve
-// to the shared solver defaults (sparse.DefaultTol et al.).
+// Solve reduces the per-rank nodal charge contributions, builds the owned
+// right-hand side, and runs the distributed Jacobi-preconditioned CG. phi
+// (full length) is the initial guess and is overwritten with the solution:
+// replicated on every rank in replicated mode, fresh on the owned and
+// consumer nodes in owner mode (call GatherPhi before reading it
+// globally). All ranks must call Solve collectively. Zero opts fields
+// resolve to the shared solver defaults (sparse.DefaultTol et al.).
 func (d *DistSolver) Solve(comm *simmpi.Comm, nodeChargeLocal, phi []float64, opts sparse.SolveOptions) (sparse.SolveResult, error) {
 	n := d.P.Fine.NumNodes()
 	if len(nodeChargeLocal) != n || len(phi) != n {
 		return sparse.SolveResult{}, fmt.Errorf("pic: Solve dimension mismatch")
 	}
 	opts = opts.WithDefaults(n)
-	if d.Mode == ExchangeOwnerLocal {
-		return d.solveOwnerLocal(comm, nodeChargeLocal, phi, opts)
-	}
-	// Reduction summation of nodal charge (paper §IV-C): interior nodes
-	// have one owner's contribution, boundary-of-partition nodes sum over
-	// neighbors; a full-vector allreduce covers both. This runs once per
-	// solve — the per-iteration path below is neighbour-structured.
-	charge := comm.AllreduceFloat64(nodeChargeLocal, simmpi.OpSum)
-	d.P.RHSInto(charge, d.b)
-	b, r, z, p, ap := d.b, d.r, d.z, d.p, d.ap
-	k := d.P.K
+	nOwn := d.local.NumOwned()
+	d.reduceCharge(comm, nodeChargeLocal)
 
-	// r = b - K x on owned rows; the start vector phi is replicated, so
-	// its ghost entries are already valid.
-	for _, i := range d.mine {
-		var s float64
-		for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
-			s += k.Val[e] * phi[k.ColIdx[e]]
-		}
-		r[i] = b[i] - s
+	for li, g := range d.mine {
+		d.bL[li] = d.P.rhsAt(g, d.chgL[li])
 	}
-	for _, i := range d.mine {
-		z[i] = d.invDiag[i] * r[i]
-		p[i] = z[i]
+	d.seedGuess(comm, phi)
+
+	// r = b - K x on owned rows.
+	d.local.MulVecOwned(d.apL, d.xL)
+	for i := 0; i < nOwn; i++ {
+		d.rL[i] = d.bL[i] - d.apL[i]
+		d.zL[i] = d.invDiagL[i] * d.rL[i]
+		d.pL[i] = d.zL[i]
 	}
 	// One fused 3-element allreduce seeds |b|^2, |r|^2 and r.z together.
-	d.red[0] = dotAt(d.mine, b, b)
-	d.red[1] = dotAt(d.mine, r, r)
-	d.red[2] = dotAt(d.mine, r, z)
+	d.red[0] = dotOwned(nOwn, d.bL, d.bL)
+	d.red[1] = dotOwned(nOwn, d.rL, d.rL)
+	d.red[2] = dotOwned(nOwn, d.rL, d.zL)
 	sums := comm.AllreduceFloat64(d.red[:3], simmpi.OpSum)
 	bnorm := math.Sqrt(sums[0])
 	if bnorm == 0 {
-		for i := range phi {
-			phi[i] = 0
-		}
+		// Every rank sees the same global |b| = 0, so the solution is the
+		// zero vector everywhere and needs no assembly traffic.
+		clear(phi)
 		return sparse.SolveResult{Converged: true}, nil
 	}
 	rr, rz := sums[1], sums[2]
-	d.spread(comm, p)
+	d.spread(comm, d.pL)
 	it := 0
 	for ; it < opts.MaxIter; it++ {
 		res := math.Sqrt(rr) / bnorm
@@ -469,14 +386,8 @@ func (d *DistSolver) Solve(comm *simmpi.Comm, nodeChargeLocal, phi []float64, op
 			d.assemble(comm, phi)
 			return sparse.SolveResult{Iterations: it, Residual: res, Converged: true}, nil
 		}
-		for _, i := range d.mine {
-			var s float64
-			for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
-				s += k.Val[e] * p[k.ColIdx[e]]
-			}
-			ap[i] = s
-		}
-		d.red[0] = dotAt(d.mine, p, ap)
+		d.local.MulVecOwned(d.apL, d.pL)
+		d.red[0] = dotOwned(nOwn, d.pL, d.apL)
 		pap := comm.AllreduceFloat64(d.red[:1], simmpi.OpSum)[0]
 		if pap <= 0 {
 			// pap is an allreduce result, bitwise identical on every rank,
@@ -485,25 +396,22 @@ func (d *DistSolver) Solve(comm *simmpi.Comm, nodeChargeLocal, phi []float64, op
 				fmt.Errorf("pic: distributed CG breakdown (pAp=%g)", pap)
 		}
 		alpha := rz / pap
-		for _, i := range d.mine {
-			phi[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-			z[i] = d.invDiag[i] * r[i]
+		for i := 0; i < nOwn; i++ {
+			d.xL[i] += alpha * d.pL[i]
+			d.rL[i] -= alpha * d.apL[i]
+			d.zL[i] = d.invDiagL[i] * d.rL[i]
 		}
 		// The per-iteration |r|^2 and r.z reductions ride one fused
-		// 2-element allreduce: two allreduces per iteration total instead
-		// of the former three.
-		d.red[0] = dotAt(d.mine, r, r)
-		d.red[1] = dotAt(d.mine, r, z)
+		// 2-element allreduce: two allreduces per iteration in total.
+		d.red[0] = dotOwned(nOwn, d.rL, d.rL)
+		d.red[1] = dotOwned(nOwn, d.rL, d.zL)
 		sums := comm.AllreduceFloat64(d.red[:2], simmpi.OpSum)
-		rr = sums[0]
-		rzNew := sums[1]
-		beta := rzNew / rz
-		rz = rzNew
-		for _, i := range d.mine {
-			p[i] = z[i] + beta*p[i]
+		beta := sums[1] / rz
+		rr, rz = sums[0], sums[1]
+		for i := 0; i < nOwn; i++ {
+			d.pL[i] = d.zL[i] + beta*d.pL[i]
 		}
-		d.spread(comm, p)
+		d.spread(comm, d.pL)
 	}
 	res := math.Sqrt(rr) / bnorm
 	d.assemble(comm, phi)

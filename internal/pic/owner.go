@@ -2,32 +2,32 @@ package pic
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/plasma-hpc/dsmcpic/internal/mesh"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 	"github.com/plasma-hpc/dsmcpic/internal/sparse"
 )
 
-// Owner-local Poisson (DESIGN.md §6j): the ExchangeOwnerLocal half of
-// DistSolver. The CG itself runs on a partition-local view — owned CSR
-// rows plus a ghost column layer (sparse.LocalCSR) and owned-length
-// vectors — while the two historically O(nodes) once-per-solve collectives
-// become boundary-proportional point-to-point exchanges:
+// Owner-local communication hooks (DESIGN.md §6j): the ExchangeOwnerLocal
+// half of DistSolver. The shared CG loop runs on the partition-local view
+// in both modes; in this one every exchange is boundary-proportional and
+// point-to-point:
 //
 //   - charge reduction: interior nodes have exactly one contributing rank,
 //     so only partition-boundary contributions travel, straight to the
 //     nodes' owners (TagChargeBoundary);
+//   - ghost refresh: each rank ships the owned entries its neighbours'
+//     rows read (TagPoissonHalo);
 //   - phi assembly: converged potential goes only to the ranks whose owned
 //     fine cells read it — the deposit/field-gather consumer set
 //     (TagPhiConsumer). Full replication survives behind GatherPhi for
-//     diagnostics, checkpoints and legacy modes.
+//     diagnostics and checkpoints.
 
 // Traffic sub-phase labels for the owner-local once-per-solve exchanges.
-// solveOwnerLocal brackets its charge reduction and consumer assembly with
-// these (restoring the caller's phase), so benchmarks can attribute the
+// Solve brackets the charge reduction and consumer assembly with these
+// (restoring the caller's phase), so benchmarks can attribute the
 // boundary-proportional bytes separately from the per-iteration CG
-// traffic. Legacy modes never set them, keeping their byte streams
+// traffic. Replicated mode never sets them, keeping its byte streams
 // untouched.
 const (
 	PhasePoissonCharge   = "Poisson_Charge"
@@ -63,51 +63,62 @@ func NewDistSolverOwnerLocal(p *Poisson, nodeOwner, fineOwner []int32, nRanks, r
 	if err != nil {
 		return nil, err
 	}
-	d.buildHalo(nRanks, rank)
-	if err := d.buildOwnerLocal(fineOwner, nRanks, rank); err != nil {
+	d.buildGhostLists(nRanks, rank)
+	if err := d.buildChargePairing(fineOwner, nRanks, rank); err != nil {
 		return nil, err
 	}
-	d.encBuf = make([]byte, 8*len(d.mine)) // GatherPhi owned-segment encode
 	return d, nil
 }
 
-// buildOwnerLocal extracts the partition-local CSR view, translates the
-// halo lists into local ids, and derives the charge/consumer pairing from
-// fine-cell ownership.
-func (d *DistSolver) buildOwnerLocal(fineOwner []int32, nRanks, rank int) error {
-	var err error
-	d.local, err = sparse.NewLocalCSR(d.P.K, d.mine)
-	if err != nil {
-		return err
-	}
-	diag := d.local.DiagOwned()
-	d.invDiagL = make([]float64, len(diag))
-	for i, x := range diag {
-		if x != 0 {
-			d.invDiagL[i] = 1 / x
-		} else {
-			d.invDiagL[i] = 1
-		}
-	}
-	// Halo lists in local ids: send entries are owned nodes, recv entries
-	// are CSR ghost columns, so every translation must resolve.
+// buildGhostLists derives the per-neighbour ghost-refresh lists in local
+// ids. Receives are the CSR ghost columns grouped by owner; sends are my
+// owned nodes that other ranks' rows read, found in one pass over all rows
+// (K is replicated, so both endpoints of each pairing derive identical
+// lists without any structural-symmetry assumption). Both are ascending in
+// global id, which fixes the packing order on the wire.
+func (d *DistSolver) buildGhostLists(nRanks, rank int) {
+	k := d.P.K
+	me := int32(rank)
 	d.sendIdxL = make([][]int32, nRanks)
 	d.recvIdxL = make([][]int32, nRanks)
-	for q := 0; q < nRanks; q++ {
-		if d.sendIdxL[q], err = localIds(d.local, d.sendIdx[q]); err != nil {
-			return fmt.Errorf("pic: halo send list to rank %d: %w", q, err)
+	for i, q := range d.Owner {
+		if q == me {
+			continue
 		}
-		if d.recvIdxL[q], err = localIds(d.local, d.recvIdx[q]); err != nil {
-			return fmt.Errorf("pic: halo recv list from rank %d: %w", q, err)
+		for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
+			if j := k.ColIdx[e]; d.Owner[j] == me {
+				d.sendIdxL[q] = append(d.sendIdxL[q], d.local.LocalOf(j))
+			}
 		}
 	}
+	nOwn := d.local.NumOwned()
+	for j, g := range d.local.Ghosts() {
+		q := d.Owner[g]
+		d.recvIdxL[q] = append(d.recvIdxL[q], int32(nOwn+j))
+	}
+	d.sendBuf = make([][]byte, nRanks)
+	for q := 0; q < nRanks; q++ {
+		// Owned local ids follow ascending global order, so sorting them
+		// sorts by global id.
+		d.sendIdxL[q] = sortUnique(d.sendIdxL[q])
+		if len(d.sendIdxL[q]) > 0 {
+			d.sendNbr = append(d.sendNbr, q)
+			d.sendBuf[q] = make([]byte, 8*len(d.sendIdxL[q]))
+		}
+		if len(d.recvIdxL[q]) > 0 {
+			d.recvNbr = append(d.recvNbr, q)
+		}
+	}
+}
 
-	// Charge/consumer pairing. My consumer set is the nodes of my owned
-	// fine cells — exactly where DepositCharge writes and the field
-	// gather reads. One replicated pass over all fine cells gives both
-	// directions: rank A's chgSendG[B] and rank B's chgRecvG[A] are the
-	// same set ("nodes of A's cells owned by B") computed from the same
-	// tables, so the wire pairing agrees by construction.
+// buildChargePairing derives the charge/consumer pairing from fine-cell
+// ownership. My consumer set is the nodes of my owned fine cells — exactly
+// where DepositCharge writes and the field gather reads. One replicated
+// pass over all fine cells gives both directions: rank A's chgSendG[B] and
+// rank B's chgRecvG[A] are the same set ("nodes of A's cells owned by B")
+// computed from the same tables, so the wire pairing agrees by
+// construction.
+func (d *DistSolver) buildChargePairing(fineOwner []int32, nRanks, rank int) error {
 	me := int32(rank)
 	d.chgSendG = make([][]int32, nRanks)
 	d.chgRecvG = make([][]int32, nRanks)
@@ -127,6 +138,7 @@ func (d *DistSolver) buildOwnerLocal(fineOwner []int32, nRanks, rank int) error 
 	d.chgRecvL = make([][]int32, nRanks)
 	d.chgSendBuf = make([][]byte, nRanks)
 	d.phiSendBuf = make([][]byte, nRanks)
+	var err error
 	for q := 0; q < nRanks; q++ {
 		d.chgSendG[q] = sortUnique(d.chgSendG[q])
 		d.chgRecvG[q] = sortUnique(d.chgRecvG[q])
@@ -142,16 +154,6 @@ func (d *DistSolver) buildOwnerLocal(fineOwner []int32, nRanks, rank int) error 
 			}
 		}
 	}
-
-	nOwn := d.local.NumOwned()
-	tot := nOwn + d.local.NumGhost()
-	d.bL = make([]float64, nOwn)
-	d.rL = make([]float64, nOwn)
-	d.zL = make([]float64, nOwn)
-	d.apL = make([]float64, nOwn)
-	d.chgL = make([]float64, nOwn)
-	d.pL = make([]float64, tot)
-	d.xL = make([]float64, tot)
 	return nil
 }
 
@@ -173,22 +175,14 @@ func localIds(l *sparse.LocalCSR, g []int32) ([]int32, error) {
 	return out, nil
 }
 
-// dotOwned computes sum over the first n entries of a[i]*b[i] — the
-// owner-local counterpart of dotAt over the same nodes in the same order.
-//
-//commvet:hot
-func dotOwned(n int, a, b []float64) float64 {
-	var s float64
-	for i := 0; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // spreadOwnerLocal refreshes the ghost tail of a local vector from the
-// owners, with the same deadlock-free two-round schedule as haloExchange
-// but index lists in local ids (sends gather from the owned prefix,
-// receives scatter into the ghost tail). It reuses the halo send buffers.
+// owners in the two ordered rounds of the distributed particle exchange
+// (paper §IV-B2): round 1 moves low→high pairs (send to higher neighbours
+// ascending, then drain lower neighbours ascending), round 2 moves
+// high→low. Sends gather from the owned prefix and receives scatter into
+// the ghost tail. Sends are posted before the round's receives — simmpi
+// sends never block, matching eager/Isend semantics for these small
+// boundary payloads — so the schedule cannot deadlock.
 //
 //commvet:hot
 func (d *DistSolver) spreadOwnerLocal(comm *simmpi.Comm, vec []float64) {
@@ -260,118 +254,16 @@ func (d *DistSolver) assembleOwnerLocal(comm *simmpi.Comm, phi []float64) {
 	comm.SetPhase(prev)
 }
 
-// solveOwnerLocal is Solve in ExchangeOwnerLocal mode. The CG iterates are
-// the identical floating-point sequence of the halo path over the same
-// owned rows in the same order (LocalCSR preserves per-row entry order and
-// owned local ids follow ascending global order), so given the same
-// right-hand side the iterates match bitwise; only the boundary-node
-// charge summation order differs from the legacy full-vector allreduce,
-// which bounds the phi deviation at the 1e-8 level the equivalence tests
-// pin.
-func (d *DistSolver) solveOwnerLocal(comm *simmpi.Comm, nodeChargeLocal, phi []float64, opts sparse.SolveOptions) (sparse.SolveResult, error) {
-	nOwn := d.local.NumOwned()
-	prev := comm.Phase()
-	comm.SetPhase(PhasePoissonCharge)
-	d.reduceChargeBoundary(comm, nodeChargeLocal)
-	comm.SetPhase(prev)
-
-	// Owned right-hand side (RHSInto restricted to owned rows).
-	p := d.P
-	for li, g := range d.mine {
-		if p.IsDirichlet[g] {
-			d.bL[li] = p.DirichletVal[g]
-			continue
-		}
-		v := d.chgL[li] / Epsilon0
-		for _, cp := range p.couplings[g] {
-			v -= cp.k * p.DirichletVal[cp.node]
-		}
-		d.bL[li] = v
-	}
-
-	// Initial guess: owned entries carry over from the previous solve via
-	// phi; the CSR ghost tail (which can exceed the consumer set phi
-	// keeps fresh) is refreshed from the owners explicitly.
-	for li, g := range d.mine {
-		d.xL[li] = phi[g]
-	}
-	d.spreadOwnerLocal(comm, d.xL)
-
-	// r = b - K x on owned rows.
-	d.local.MulVecOwned(d.apL, d.xL)
-	for i := 0; i < nOwn; i++ {
-		d.rL[i] = d.bL[i] - d.apL[i]
-	}
-	for i := 0; i < nOwn; i++ {
-		d.zL[i] = d.invDiagL[i] * d.rL[i]
-		d.pL[i] = d.zL[i]
-	}
-	d.red[0] = dotOwned(nOwn, d.bL, d.bL)
-	d.red[1] = dotOwned(nOwn, d.rL, d.rL)
-	d.red[2] = dotOwned(nOwn, d.rL, d.zL)
-	sums := comm.AllreduceFloat64(d.red[:3], simmpi.OpSum)
-	bnorm := math.Sqrt(sums[0])
-	if bnorm == 0 {
-		for i := range d.xL {
-			d.xL[i] = 0
-		}
-		d.assembleOwnerLocal(comm, phi)
-		return sparse.SolveResult{Converged: true}, nil
-	}
-	rr, rz := sums[1], sums[2]
-	d.spreadOwnerLocal(comm, d.pL)
-	it := 0
-	for ; it < opts.MaxIter; it++ {
-		res := math.Sqrt(rr) / bnorm
-		if res <= opts.Tol {
-			d.assembleOwnerLocal(comm, phi)
-			return sparse.SolveResult{Iterations: it, Residual: res, Converged: true}, nil
-		}
-		d.local.MulVecOwned(d.apL, d.pL)
-		d.red[0] = dotOwned(nOwn, d.pL, d.apL)
-		pap := comm.AllreduceFloat64(d.red[:1], simmpi.OpSum)[0]
-		if pap <= 0 {
-			// pap is an allreduce result, bitwise identical on every rank,
-			// so all ranks take this exit together.
-			return sparse.SolveResult{Iterations: it, Residual: res},
-				fmt.Errorf("pic: distributed CG breakdown (pAp=%g)", pap)
-		}
-		alpha := rz / pap
-		for i := 0; i < nOwn; i++ {
-			d.xL[i] += alpha * d.pL[i]
-			d.rL[i] -= alpha * d.apL[i]
-			d.zL[i] = d.invDiagL[i] * d.rL[i]
-		}
-		d.red[0] = dotOwned(nOwn, d.rL, d.rL)
-		d.red[1] = dotOwned(nOwn, d.rL, d.zL)
-		sums := comm.AllreduceFloat64(d.red[:2], simmpi.OpSum)
-		rr = sums[0]
-		rzNew := sums[1]
-		beta := rzNew / rz
-		rz = rzNew
-		for i := 0; i < nOwn; i++ {
-			d.pL[i] = d.zL[i] + beta*d.pL[i]
-		}
-		d.spreadOwnerLocal(comm, d.pL)
-	}
-	res := math.Sqrt(rr) / bnorm
-	d.assembleOwnerLocal(comm, phi)
-	return sparse.SolveResult{Iterations: it, Residual: res}, nil
-}
-
 // GatherPhi replicates phi on every rank — the explicit on-demand gather
 // behind diagnostics, VTK output and checkpoint capture in owner-local
-// mode. Legacy modes keep phi replicated after every Solve, so the call is
-// a communication-free no-op there. All ranks must call collectively in
-// owner-local mode.
+// mode. Replicated mode keeps phi replicated after every Solve, so the
+// call is a communication-free no-op there. All ranks must call
+// collectively in owner-local mode.
 func (d *DistSolver) GatherPhi(comm *simmpi.Comm, phi []float64) {
 	if d.Mode != ExchangeOwnerLocal {
 		return
 	}
-	for k, g := range d.mine {
-		d.scratch[k] = phi[g]
-	}
-	d.encBuf = simmpi.EncodeFloat64sInto(d.encBuf, d.scratch)
+	d.encBuf = simmpi.EncodeFloat64sGatherInto(d.encBuf, phi, d.mine)
 	parts := comm.Allgatherv(d.encBuf)
 	for q, ids := range d.ownedByRank {
 		if q == comm.Rank() {
@@ -381,38 +273,13 @@ func (d *DistSolver) GatherPhi(comm *simmpi.Comm, phi []float64) {
 	}
 }
 
-// ChargeSendNodes returns the global ids of this rank's deposit-touched
-// nodes owned by rank q — the charge-out / phi-in pairing list (do not
-// modify; nil outside owner-local mode).
-func (d *DistSolver) ChargeSendNodes(q int) []int32 {
-	if d.chgSendG == nil {
-		return nil
-	}
-	return d.chgSendG[q]
-}
-
-// ChargeRecvNodes returns the global ids of this rank's owned nodes that
-// rank q's fine cells touch — the charge-in / phi-out pairing list (do not
-// modify; nil outside owner-local mode).
-func (d *DistSolver) ChargeRecvNodes(q int) []int32 {
-	if d.chgRecvG == nil {
-		return nil
-	}
-	return d.chgRecvG[q]
-}
-
-// Local returns the partition-local CSR view (nil outside owner-local
-// mode).
-func (d *DistSolver) Local() *sparse.LocalCSR { return d.local }
-
 // ResidentState is the per-rank resident solver footprint backing the
-// metrics gauges and bench schema v5: what this rank keeps in memory for
-// the Poisson solve, split into matrix storage, solver vectors and
-// local⇄global/index-list maps. In owner-local mode every term is
-// O(nodes/P + ghosts); legacy modes report their replicated O(nodes)
-// state. (The mesh, ownership tables and the assembly-time global K —
-// shared with the rest of the solver and all modes — are outside this
-// scope; see DESIGN.md §6j.)
+// metrics gauges: what this rank keeps in memory for the Poisson solve,
+// split into matrix storage, solver vectors and local⇄global/index-list
+// maps. Every term is O(nodes/P + ghosts) except replicated mode's one
+// n-length broadcast buffer. (The mesh, ownership tables and the
+// assembly-time global K — shared with the rest of the solver — are
+// outside this scope; see DESIGN.md §6j.)
 type ResidentState struct {
 	OwnedRows     int
 	GhostCols     int
@@ -428,31 +295,16 @@ func (rs ResidentState) TotalBytes() int64 {
 
 // ResidentState reports this solver's resident footprint (see the type).
 func (d *DistSolver) ResidentState() ResidentState {
-	st := ResidentState{OwnedRows: len(d.mine)}
-	if d.Mode == ExchangeOwnerLocal {
-		st.GhostCols = d.local.NumGhost()
-		st.MatrixBytes = d.local.MatrixBytes()
-		st.VectorBytes = 8 * int64(len(d.bL)+len(d.rL)+len(d.zL)+len(d.apL)+
-			len(d.chgL)+len(d.pL)+len(d.xL)+len(d.invDiagL)+len(d.scratch))
-		st.IndexMapBytes = d.local.IndexMapBytes() +
-			idxListBytes(d.sendIdx) + idxListBytes(d.recvIdx) +
+	return ResidentState{
+		OwnedRows:   len(d.mine),
+		GhostCols:   d.local.NumGhost(),
+		MatrixBytes: d.local.MatrixBytes(),
+		VectorBytes: 8 * int64(len(d.bL)+len(d.rL)+len(d.zL)+len(d.apL)+
+			len(d.chgL)+len(d.pL)+len(d.xL)+len(d.invDiagL)+len(d.full)),
+		IndexMapBytes: d.local.IndexMapBytes() +
 			idxListBytes(d.sendIdxL) + idxListBytes(d.recvIdxL) +
-			idxListBytes(d.chgSendG) + idxListBytes(d.chgRecvG) + idxListBytes(d.chgRecvL)
-		return st
+			idxListBytes(d.chgSendG) + idxListBytes(d.chgRecvG) + idxListBytes(d.chgRecvL),
 	}
-	k := d.P.K
-	st.MatrixBytes = int64(4*len(k.RowPtr) + 4*len(k.ColIdx) + 8*len(k.Val))
-	st.VectorBytes = 8 * int64(len(d.b)+len(d.r)+len(d.z)+len(d.p)+len(d.ap)+
-		len(d.invDiag)+len(d.scratch)+len(d.fullBuf))
-	if d.Mode == ExchangeHalo {
-		for _, ids := range d.recvIdx {
-			st.GhostCols += len(ids)
-		}
-		st.IndexMapBytes = idxListBytes(d.sendIdx) + idxListBytes(d.recvIdx)
-	} else {
-		st.GhostCols = d.P.Fine.NumNodes() - len(d.mine)
-	}
-	return st
 }
 
 // idxListBytes sums the storage of a per-rank index-list table.

@@ -281,10 +281,10 @@ func TestDistSolverMatchesSerial(t *testing.T) {
 	}
 	// Split each node's charge evenly across the ranks whose fine cells
 	// touch it — the support DepositCharge actually produces, which the
-	// owner-local boundary reduction relies on (legacy allreduce sums any
-	// split, so the same one serves all three modes).
+	// owner-local boundary reduction relies on (the replicated allreduce
+	// sums any split, so the same one serves both modes).
 	splitCharge := depositSplit(ref, charge, fineOwners, nRanks)
-	for _, mode := range []ExchangeMode{ExchangeHalo, ExchangeReplicated, ExchangeOwnerLocal} {
+	for _, mode := range []ExchangeMode{ExchangeOwnerLocal, ExchangeReplicated} {
 		t.Run(mode.String(), func(t *testing.T) {
 			world := simmpi.NewWorld(nRanks, simmpi.Options{})
 			results := make([][]float64, nRanks)
@@ -326,10 +326,10 @@ func TestDistSolverRejectsBadOwnership(t *testing.T) {
 	}
 	owners := make([]int32, ref.Fine.NumNodes())
 	owners[0] = 99
-	if _, err := NewDistSolver(p, owners, 2, 0, ExchangeHalo); err == nil {
+	if _, err := NewDistSolver(p, owners, 2, 0, ExchangeReplicated); err == nil {
 		t.Error("invalid owner accepted")
 	}
-	if _, err := NewDistSolver(p, owners[:3], 2, 0, ExchangeHalo); err == nil {
+	if _, err := NewDistSolver(p, owners[:3], 2, 0, ExchangeReplicated); err == nil {
 		t.Error("short owner table accepted")
 	}
 	good := make([]int32, ref.Fine.NumNodes())
@@ -406,10 +406,12 @@ func plumeRefinement(t testing.TB) *mesh.Refinement {
 	return ref
 }
 
-// TestHaloReplicatedEquivalencePlume pins the tentpole guarantee on the
-// plume case: the halo and replicated exchanges converge to the same
-// potential (within 1e-8) at 1, 2 and 4 ranks, and at 4 ranks the halo's
-// per-solve Poisson traffic is at least 5x smaller in bytes.
+// TestHaloReplicatedEquivalencePlume pins the owner-local halo exchange
+// against the paper's replicated structure on the plume case: both modes
+// converge to the same potential (within 1e-8) at 1, 2 and 4 ranks, a
+// single owner rank sends nothing, and at 4 ranks the owner mode's total
+// per-solve traffic (charge reduction, ghost refreshes, dot products and
+// assembly) is at least 5x smaller in bytes.
 func TestHaloReplicatedEquivalencePlume(t *testing.T) {
 	ref := plumeRefinement(t)
 	p, err := NewPoisson(ref.Fine, DefaultBC())
@@ -423,143 +425,199 @@ func TestHaloReplicatedEquivalencePlume(t *testing.T) {
 			charge[n] = 1e-13 * r.Float64()
 		}
 	}
-	solve := func(nRanks int, mode ExchangeMode) ([]float64, simmpi.PhaseStats) {
-		t.Helper()
-		coarseOwner := make([]int32, ref.Coarse.NumCells())
-		for c := range coarseOwner {
-			coarseOwner[c] = int32(c * nRanks / len(coarseOwner))
-		}
-		owners := NodeOwners(ref, coarseOwner)
-		world := simmpi.NewWorld(nRanks, simmpi.Options{})
-		var phi0 []float64
-		err := world.Run(func(comm *simmpi.Comm) {
-			ds, err := NewDistSolver(p, owners, nRanks, comm.Rank(), mode)
-			if err != nil {
-				panic(err)
-			}
-			comm.SetPhase("Poisson_Solve")
-			phi := make([]float64, len(charge))
-			res, err := ds.Solve(comm, charge, phi, sparse.SolveOptions{Tol: 1e-10})
-			if err != nil {
-				panic(err)
-			}
-			if !res.Converged {
-				panic("CG did not converge")
-			}
-			if comm.Rank() == 0 {
-				phi0 = phi
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total, _ := simmpi.AggregatePhase(world.Counters(), "Poisson_Solve")
-		return phi0, total
-	}
 	for _, nRanks := range []int{1, 2, 4} {
-		phiHalo, trHalo := solve(nRanks, ExchangeHalo)
-		phiRepl, trRepl := solve(nRanks, ExchangeReplicated)
+		coarseOwner := blockPartition(ref, nRanks)
+		owners := NodeOwners(ref, coarseOwner)
+		fineOwners := FineCellOwners(ref, coarseOwner)
+		split := depositSplit(ref, charge, fineOwners, nRanks)
+		solve := func(mode ExchangeMode) ([]float64, simmpi.PhaseStats) {
+			t.Helper()
+			world := simmpi.NewWorld(nRanks, simmpi.Options{})
+			var phi0 []float64
+			err := world.Run(func(comm *simmpi.Comm) {
+				ds, err := newTestSolver(p, owners, fineOwners, nRanks, comm.Rank(), mode)
+				if err != nil {
+					panic(err)
+				}
+				phi := make([]float64, len(charge))
+				res, err := ds.Solve(comm, split[comm.Rank()], phi, sparse.SolveOptions{Tol: 1e-10})
+				if err != nil {
+					panic(err)
+				}
+				if !res.Converged {
+					panic("CG did not converge")
+				}
+				comm.SetPhase("Gather") // diagnostics traffic, not per-solve
+				ds.GatherPhi(comm, phi)
+				if comm.Rank() == 0 {
+					phi0 = phi
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total simmpi.PhaseStats
+			for _, c := range world.Counters() {
+				for _, ph := range c.Phases() {
+					if ph != "Gather" {
+						s := c.Phase(ph)
+						total.Messages += s.Messages
+						total.Bytes += s.Bytes
+					}
+				}
+			}
+			return phi0, total
+		}
+		phiOwner, trOwner := solve(ExchangeOwnerLocal)
+		phiRepl, trRepl := solve(ExchangeReplicated)
 		scale := 0.0
 		for _, v := range phiRepl {
 			scale = math.Max(scale, math.Abs(v))
 		}
 		for n := range phiRepl {
-			if math.Abs(phiHalo[n]-phiRepl[n]) > 1e-8*scale+1e-18 {
-				t.Fatalf("ranks=%d node %d: halo %v vs replicated %v", nRanks, n, phiHalo[n], phiRepl[n])
+			if math.Abs(phiOwner[n]-phiRepl[n]) > 1e-8*scale+1e-18 {
+				t.Fatalf("ranks=%d node %d: owner %v vs replicated %v", nRanks, n, phiOwner[n], phiRepl[n])
 			}
 		}
-		t.Logf("ranks=%d: halo %d msgs / %d bytes, replicated %d msgs / %d bytes",
-			nRanks, trHalo.Messages, trHalo.Bytes, trRepl.Messages, trRepl.Bytes)
-		if nRanks == 1 && trHalo.Messages != 0 {
-			// A single rank has no neighbours; nothing must hit the wire
-			// on the iteration path (the charge allreduce and assembly are
-			// rank-local no-sends at size 1).
-			t.Errorf("single-rank halo sent %d messages", trHalo.Messages)
+		t.Logf("ranks=%d: owner %d msgs / %d bytes, replicated %d msgs / %d bytes",
+			nRanks, trOwner.Messages, trOwner.Bytes, trRepl.Messages, trRepl.Bytes)
+		if nRanks == 1 && trOwner.Messages != 0 {
+			// A single rank has no neighbours and its collectives are
+			// rank-local no-sends: nothing may hit the wire.
+			t.Errorf("single-rank owner solve sent %d messages", trOwner.Messages)
 		}
-		if nRanks == 4 && trHalo.Bytes*5 > trRepl.Bytes {
-			t.Errorf("ranks=4: halo bytes %d not >=5x below replicated %d", trHalo.Bytes, trRepl.Bytes)
+		if nRanks == 4 && trOwner.Bytes*5 > trRepl.Bytes {
+			t.Errorf("ranks=4: owner bytes %d not >=5x below replicated %d", trOwner.Bytes, trRepl.Bytes)
 		}
 	}
 }
 
-// TestHaloIndexListsConsistent checks the VecScatter structure on the
-// 4-rank plume partition: every pairing agrees across ranks (A ships to B
-// exactly what B expects from A), receives cover exactly the off-owner
-// columns of owned rows, and sends only ever carry owned nodes.
+// TestReplicatedTrafficClosedForm pins the replicated mode's wire traffic
+// to its closed form. Per solve, Σ sent bytes across P ranks is the
+// full-vector charge allreduce, the fused 3-element seed allreduce, one
+// ghost refresh before the loop and one per completed iteration (each a
+// Gatherv of the non-root owned segments plus a binomial Bcast of the
+// n-length vector), the 1- and 2-element allreduces of every iteration,
+// and a final assembly shaped like one more refresh. A binomial allreduce
+// of m floats sends 2(P-1)·8m bytes.
+func TestReplicatedTrafficClosedForm(t *testing.T) {
+	ref := plumeRefinement(t)
+	p, err := NewPoisson(ref.Fine, DefaultBC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5, 0)
+	n := ref.Fine.NumNodes()
+	charge := make([]float64, n)
+	for i := range charge {
+		if !p.IsDirichlet[i] {
+			charge[i] = 1e-13 * r.Float64()
+		}
+	}
+	for _, nRanks := range []int{1, 2, 4} {
+		owners := NodeOwners(ref, blockPartition(ref, nRanks))
+		owned0 := 0
+		for _, o := range owners {
+			if o == 0 {
+				owned0++
+			}
+		}
+		world := simmpi.NewWorld(nRanks, simmpi.Options{})
+		var iters int
+		err := world.Run(func(comm *simmpi.Comm) {
+			ds, err := NewDistSolver(p, owners, nRanks, comm.Rank(), ExchangeReplicated)
+			if err != nil {
+				panic(err)
+			}
+			local := make([]float64, n)
+			if comm.Rank() == 0 {
+				copy(local, charge)
+			}
+			res, err := ds.Solve(comm, local, make([]float64, n), sparse.SolveOptions{Tol: 1e-10})
+			if err != nil || !res.Converged {
+				panic(fmt.Sprintf("solve: %v %+v", err, res))
+			}
+			if comm.Rank() == 0 {
+				iters = res.Iterations
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int64
+		for _, c := range world.Counters() {
+			got += c.Total().Bytes
+		}
+		pm1 := int64(nRanks - 1)
+		allreduce := func(m int64) int64 { return 2 * pm1 * 8 * m }
+		refresh := 8*int64(n-owned0) + pm1*8*int64(n)
+		it := int64(iters)
+		want := allreduce(int64(n)) + allreduce(3) + (it+2)*refresh + it*(allreduce(1)+allreduce(2))
+		if got != want {
+			t.Errorf("ranks=%d (%d iterations): replicated solve sent %d bytes, closed form %d", nRanks, iters, got, want)
+		}
+	}
+}
+
+// TestHaloIndexListsConsistent checks the owner-local ghost-refresh lists
+// (the VecScatter analogue, in local ids) on the plume partition at 1, 2,
+// 4 and 8 ranks: every pairing agrees across ranks (A ships to B exactly
+// the global nodes B expects from A, in the same order), sends carry only
+// A's owned entries, and each rank's receives cover its ghost tail exactly
+// once, each slot listed under the ghost's owner.
 func TestHaloIndexListsConsistent(t *testing.T) {
 	ref := plumeRefinement(t)
 	p, err := NewPoisson(ref.Fine, DefaultBC())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nRanks = 4
-	coarseOwner := make([]int32, ref.Coarse.NumCells())
-	for c := range coarseOwner {
-		coarseOwner[c] = int32(c * nRanks / len(coarseOwner))
-	}
-	owners := NodeOwners(ref, coarseOwner)
-	solvers := make([]*DistSolver, nRanks)
-	for rk := range solvers {
-		if solvers[rk], err = NewDistSolver(p, owners, nRanks, rk, ExchangeHalo); err != nil {
-			t.Fatal(err)
-		}
-	}
-	anyPair := false
-	for a := 0; a < nRanks; a++ {
-		for bk := 0; bk < nRanks; bk++ {
-			if a == bk {
-				continue
-			}
-			send, recv := solvers[a].HaloSendIdx(bk), solvers[bk].HaloRecvIdx(a)
-			if len(send) != len(recv) {
-				t.Fatalf("rank %d sends %d nodes to %d, which expects %d", a, len(send), bk, len(recv))
-			}
-			for i := range send {
-				if send[i] != recv[i] {
-					t.Fatalf("pair (%d,%d) disagrees at slot %d: %d vs %d", a, bk, i, send[i], recv[i])
+	for _, nRanks := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("ranks=%d", nRanks), func(t *testing.T) {
+			coarseOwner := blockPartition(ref, nRanks)
+			owners := NodeOwners(ref, coarseOwner)
+			fineOwners := FineCellOwners(ref, coarseOwner)
+			solvers := make([]*DistSolver, nRanks)
+			covered := make([][]int, nRanks)
+			for rk := range solvers {
+				if solvers[rk], err = NewDistSolverOwnerLocal(p, owners, fineOwners, nRanks, rk); err != nil {
+					t.Fatal(err)
 				}
-				if owners[send[i]] != int32(a) {
-					t.Fatalf("rank %d ships node %d it does not own", a, send[i])
+				covered[rk] = make([]int, solvers[rk].local.NumGhost())
+			}
+			anyPair := false
+			for a := 0; a < nRanks; a++ {
+				la := solvers[a].local
+				for bk := 0; bk < nRanks; bk++ {
+					lb := solvers[bk].local
+					send, recv := solvers[a].sendIdxL[bk], solvers[bk].recvIdxL[a]
+					if len(send) != len(recv) {
+						t.Fatalf("rank %d sends %d nodes to %d, which expects %d", a, len(send), bk, len(recv))
+					}
+					for i := range send {
+						g := la.LocalToGlobal(send[i])
+						if int(send[i]) >= la.NumOwned() || owners[g] != int32(a) {
+							t.Fatalf("rank %d ships local id %d (node %d) it does not own", a, send[i], g)
+						}
+						j := int(recv[i]) - lb.NumOwned()
+						if h := lb.LocalToGlobal(recv[i]); j < 0 || h != g {
+							t.Fatalf("pair (%d,%d) disagrees at slot %d: node %d vs local %d (node %d)", a, bk, i, g, recv[i], h)
+						}
+						covered[bk][j]++
+						anyPair = true
+					}
 				}
 			}
-			if len(send) > 0 {
-				anyPair = true
+			if nRanks > 1 && !anyPair {
+				t.Fatal("no halo pair on a multi-rank partition — boundary detection broken")
 			}
-		}
-	}
-	if !anyPair {
-		t.Fatal("no halo pair on a 4-rank partition — boundary detection broken")
-	}
-	// Ghost coverage: rank 0's receives are exactly the off-owner columns
-	// of its owned rows.
-	want := map[int32]bool{}
-	k := p.K
-	for i, o := range owners {
-		if o != 0 {
-			continue
-		}
-		for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
-			if j := k.ColIdx[e]; owners[j] != 0 {
-				want[j] = true
+			for rk := range covered {
+				for j, c := range covered[rk] {
+					if c != 1 {
+						t.Fatalf("rank %d: ghost slot %d received %d times", rk, j, c)
+					}
+				}
 			}
-		}
-	}
-	got := map[int32]bool{}
-	for q := 0; q < nRanks; q++ {
-		for _, j := range solvers[0].HaloRecvIdx(q) {
-			if owners[j] != int32(q) {
-				t.Fatalf("ghost %d listed under rank %d but owned by %d", j, q, owners[j])
-			}
-			got[j] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("rank 0 ghosts: got %d nodes, want %d", len(got), len(want))
-	}
-	for j := range want {
-		if !got[j] {
-			t.Fatalf("ghost node %d missing from recv lists", j)
-		}
+		})
 	}
 }
 
@@ -582,7 +640,7 @@ func TestDistSolverDefaultTol(t *testing.T) {
 	owners := make([]int32, ref.Fine.NumNodes())
 	world := simmpi.NewWorld(1, simmpi.Options{})
 	err = world.Run(func(comm *simmpi.Comm) {
-		ds, err := NewDistSolver(p, owners, 1, 0, ExchangeHalo)
+		ds, err := NewDistSolver(p, owners, 1, 0, ExchangeReplicated)
 		if err != nil {
 			panic(err)
 		}
@@ -603,18 +661,27 @@ func TestDistSolverDefaultTol(t *testing.T) {
 	}
 }
 
-// TestParseExchangeMode pins the flag spellings.
+// TestParseExchangeMode pins the flag spellings; only the lenient parser
+// reads the retired "halo".
 func TestParseExchangeMode(t *testing.T) {
-	for _, mode := range []ExchangeMode{ExchangeHalo, ExchangeReplicated, ExchangeOwnerLocal} {
+	for _, mode := range []ExchangeMode{ExchangeOwnerLocal, ExchangeReplicated} {
 		got, err := ParseExchangeMode(mode.String())
 		if err != nil || got != mode {
 			t.Errorf("round-trip of %v: got %v, err %v", mode, got, err)
 		}
 	}
-	if _, err := ParseExchangeMode("gatherv"); err == nil {
-		t.Error("bad mode accepted")
+	for _, bad := range []string{"gatherv", ""} {
+		if _, err := ParseExchangeMode(bad); err == nil {
+			t.Errorf("bad mode %q accepted", bad)
+		}
 	}
-	if ExchangeMode(0) != ExchangeHalo {
-		t.Error("zero value must be the halo default")
+	if _, err := ParseExchangeModeStrict("halo"); err == nil {
+		t.Error(`strict parser accepted the retired "halo"`)
+	}
+	if got, err := ParseExchangeMode("halo"); err != nil || got != ExchangeOwnerLocal {
+		t.Errorf(`retired "halo" parsed to %v, %v; want the owner mode`, got, err)
+	}
+	if ExchangeMode(0) != ExchangeOwnerLocal {
+		t.Error("zero value must be the owner-local default")
 	}
 }

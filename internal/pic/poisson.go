@@ -135,24 +135,23 @@ func NewPoisson(fine *mesh.Mesh, bc BC) (*Poisson, error) {
 // with Dirichlet values and couplings folded in.
 func (p *Poisson) RHS(nodeCharge []float64) []float64 {
 	b := make([]float64, p.Fine.NumNodes())
-	p.RHSInto(nodeCharge, b)
+	for i := range b {
+		b[i] = p.rhsAt(int32(i), nodeCharge[i])
+	}
 	return b
 }
 
-// RHSInto is RHS into a caller-provided buffer of length NumNodes(),
-// avoiding the per-solve allocation on the Poisson hot path.
-func (p *Poisson) RHSInto(nodeCharge, b []float64) {
-	for i := range b {
-		if p.IsDirichlet[i] {
-			b[i] = p.DirichletVal[i]
-			continue
-		}
-		v := nodeCharge[i] / Epsilon0
-		for _, cp := range p.couplings[i] {
-			v -= cp.k * p.DirichletVal[cp.node]
-		}
-		b[i] = v
+// rhsAt is right-hand-side row i for the reduced nodal charge q — the one
+// formula the serial and distributed solves share.
+func (p *Poisson) rhsAt(i int32, q float64) float64 {
+	if p.IsDirichlet[i] {
+		return p.DirichletVal[i]
 	}
+	v := q / Epsilon0
+	for _, cp := range p.couplings[i] {
+		v -= cp.k * p.DirichletVal[cp.node]
+	}
+	return v
 }
 
 // Solve runs preconditioned CG on K phi = b. phi is the initial guess

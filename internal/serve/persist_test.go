@@ -135,6 +135,66 @@ func TestRecoveryNoRequeue(t *testing.T) {
 	}
 }
 
+// TestRecoverySkipsRetiredExchangeDefault replays a journal written before
+// the "halo" Poisson mode was retired: a done job whose spec left
+// poisson_exchange unset (journaled in normalized form, so spelling the
+// old "halo" default, under the key that default produced) and a running
+// job that asked for "halo" explicitly. Reopening must not error, neither
+// job may be served or requeued, and resubmitting the first spec runs
+// fresh under its new key.
+func TestRecoverySkipsRetiredExchangeDefault(t *testing.T) {
+	fs := store.NewMemFS()
+	st, _ := openTestStore(t, fs)
+	journalOld := func(id string, seed uint64, state string) string {
+		norm, err := testSpec(seed).Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm.PoissonExchange = "halo" // what the old normalization wrote
+		blob, _ := json.Marshal(norm)
+		key := norm.Key()
+		st.RecordAdmit(id, key, blob)
+		if state == "done" {
+			st.PutResult(key, []byte(`{"stale":true}`))
+		}
+		st.RecordState(id, state, "", "")
+		return key
+	}
+	oldKey := journalOld("j-1", 31, "done")
+	journalOld("j-2", 32, "running")
+	st.Close()
+	fs.Crash()
+
+	st2, rep := openTestStore(t, fs)
+	if len(rep.Jobs) != 2 {
+		t.Fatalf("recovery report lists %d jobs, want both old records", len(rep.Jobs))
+	}
+	srv := NewServer(Options{Workers: 1, Store: st2, Recovered: rep})
+	defer srv.Drain(5 * time.Second)
+	for _, id := range []string{"j-1", "j-2"} {
+		if _, err := srv.Get(id); err == nil {
+			t.Errorf("retired-mode job %s was recovered", id)
+		}
+	}
+
+	out, err := srv.Submit(testSpec(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.CacheHit || out.Coalesced {
+		t.Fatalf("resubmission was served from the retired entry: %+v", out)
+	}
+	if out.Job.Key == oldKey || out.Job.Spec.PoissonExchange != "owner" {
+		t.Fatalf("resubmission runs as %q under key %s (old key %s)", out.Job.Spec.PoissonExchange, out.Job.Key, oldKey)
+	}
+	if state := waitTerminal(t, out.Job); state != StateDone {
+		t.Fatalf("fresh run ended %s", state)
+	}
+	if n := srv.WorldsBuilt(); n != 1 {
+		t.Fatalf("built %d worlds, want only the fresh run", n)
+	}
+}
+
 // TestDegradedModeKeepsServing: a store whose disk dies mid-operation
 // degrades; the server keeps completing jobs from memory and /healthz
 // reports the degradation.

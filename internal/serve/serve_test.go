@@ -64,12 +64,18 @@ func TestSpecKeyExcludesPriority(t *testing.T) {
 	if a.Key() != dn.Key() {
 		t.Fatal("spelled-out defaults changed the cache key")
 	}
-	// Every exchange mode is a valid spec and a distinct cache key.
+	// The owner default spelled out is the same job; the other exchange
+	// mode is a valid spec and a distinct cache key.
+	o := testSpec(1)
+	o.PoissonExchange = "owner"
+	if on, _ := o.Normalized(); on.Key() != a.Key() {
+		t.Fatal("explicit owner poisson_exchange changed the cache key")
+	}
 	e := testSpec(1)
-	e.PoissonExchange = "owner"
+	e.PoissonExchange = "replicated"
 	en, err := e.Normalized()
 	if err != nil {
-		t.Fatalf("owner poisson_exchange rejected: %v", err)
+		t.Fatalf("replicated poisson_exchange rejected: %v", err)
 	}
 	if en.Key() == a.Key() {
 		t.Fatal("exchange mode missing from the cache key")
@@ -591,7 +597,8 @@ func TestInvalidSpecRejected(t *testing.T) {
 		{Case: "conical"}, // missing outlet radius
 		{Strategy: "mpi"},
 		{PoissonExchange: "quantum"},
-		{Ranks: 64}, // over MaxRanks
+		{PoissonExchange: "halo"}, // retired mode
+		{Ranks: 64},               // over MaxRanks
 	}
 	for i, spec := range cases {
 		if _, err := s.Submit(spec); err == nil {

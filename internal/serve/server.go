@@ -614,8 +614,8 @@ type HealthStatus struct {
 	// Status is "ok" while serving, "draining" during graceful shutdown.
 	Status string `json:"status"`
 	// StoreMode is durable, degraded, or memory (no store configured).
-	StoreMode string `json:"store_mode"`
-	QueueDepth int `json:"queue_depth"`
+	StoreMode  string `json:"store_mode"`
+	QueueDepth int    `json:"queue_depth"`
 	// InFlight counts workers currently executing a world.
 	InFlight int `json:"in_flight"`
 	Workers  int `json:"workers"`

@@ -84,7 +84,7 @@ type JobSpec struct {
 
 	// Parallelization knobs.
 	Strategy        string  `json:"strategy,omitempty"`         // "dc" (default) or "cc"
-	PoissonExchange string  `json:"poisson_exchange,omitempty"` // "halo" (default), "replicated" or "owner"
+	PoissonExchange string  `json:"poisson_exchange,omitempty"` // "owner" (default) or "replicated"
 	PoissonTol      float64 `json:"poisson_tol,omitempty"`      // default 1e-6
 	NoLB            bool    `json:"no_lb,omitempty"`            // disable the dynamic load balancer
 	LBT             int     `json:"lb_t,omitempty"`             // balance check interval (default 5)
@@ -171,10 +171,10 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 	}
 	switch s.PoissonExchange {
 	case "":
-		s.PoissonExchange = "halo"
-	case "halo", "replicated", "owner":
+		s.PoissonExchange = "owner"
+	case "owner", "replicated":
 	default:
-		return s, fmt.Errorf("serve: unknown poisson_exchange %q (want halo, replicated or owner)", s.PoissonExchange)
+		return s, fmt.Errorf("serve: unknown poisson_exchange %q (want owner, replicated)", s.PoissonExchange)
 	}
 	if s.PoissonTol < 0 {
 		return s, fmt.Errorf("serve: poisson_tol must be positive")
@@ -256,12 +256,9 @@ func (s JobSpec) BuildConfig() (core.Config, error) {
 	if s.Strategy == "cc" {
 		strat = exchange.Centralized
 	}
-	exMode := pic.ExchangeHalo
-	switch s.PoissonExchange {
-	case "replicated":
-		exMode = pic.ExchangeReplicated
-	case "owner":
-		exMode = pic.ExchangeOwnerLocal
+	exMode, err := pic.ParseExchangeModeStrict(s.PoissonExchange)
+	if err != nil {
+		return core.Config{}, err
 	}
 	cfg := core.Config{
 		Ref:              ref,

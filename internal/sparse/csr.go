@@ -1,5 +1,5 @@
-// Package sparse provides compressed sparse row (CSR) matrices and Krylov
-// subspace solvers (CG, BiCGSTAB) with simple preconditioners. It replaces
+// Package sparse provides compressed sparse row (CSR) matrices and the
+// conjugate-gradient Krylov solver with simple preconditioners. It replaces
 // the PETSc KSP dependency of the paper's solver: the PIC Poisson equation
 // is discretized into K*phi = b with K in CSR format (paper §IV-C) and
 // solved iteratively.

@@ -106,6 +106,10 @@ func (l *LocalCSR) NNZ() int { return len(l.Val) }
 // LocalToGlobal returns the global node id of a local id (owned or ghost).
 func (l *LocalCSR) LocalToGlobal(li int32) int32 { return l.localToGlobal[li] }
 
+// Ghosts returns the global ids of the ghost columns in local-id order:
+// local id NumOwned+j is global node Ghosts()[j] (do not modify).
+func (l *LocalCSR) Ghosts() []int32 { return l.localToGlobal[l.nOwned:] }
+
 // LocalOf returns the local id of a global node, or -1 when the node is
 // neither owned nor a ghost of this partition.
 func (l *LocalCSR) LocalOf(g int32) int32 {
