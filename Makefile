@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-fix-report commvet bench bench-quick calibrate plasmad plasmarouter plasmad-smoke plasmad-recovery-smoke plasmad-cluster-smoke store-faults clean
+.PHONY: all build test race lint lint-fix-report commvet bench bench-quick calibrate experiments plasmad plasmarouter plasmad-smoke plasmad-recovery-smoke plasmad-cluster-smoke store-faults clean
 
 all: build
 
@@ -50,6 +50,11 @@ bench-quick:
 calibrate:
 	@test -n "$(BENCH)" || { echo "usage: make calibrate BENCH=BENCH_file.json"; exit 2; }
 	$(GO) run ./cmd/bench -calibrate $(BENCH)
+
+# experiments prints every paper table and figure of the reduced sweep
+# (EXPERIMENTS.md quotes it); use -preset full for the paper-scale ranks.
+experiments:
+	$(GO) run ./cmd/experiments -id all -preset quick
 
 # plasmad is the simulation-serving daemon (HTTP job API, priority queue,
 # deterministic result cache — see internal/serve and the README).

@@ -69,14 +69,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/plasma-hpc/dsmcpic/internal/balance"
-	"github.com/plasma-hpc/dsmcpic/internal/commcost"
 	"github.com/plasma-hpc/dsmcpic/internal/core"
-	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
-	"github.com/plasma-hpc/dsmcpic/internal/exchange"
-	"github.com/plasma-hpc/dsmcpic/internal/mesh"
 	"github.com/plasma-hpc/dsmcpic/internal/metrics"
-	"github.com/plasma-hpc/dsmcpic/internal/pic"
+	"github.com/plasma-hpc/dsmcpic/internal/scenario"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
 
@@ -171,10 +166,6 @@ func main() {
 		fmt.Printf("wrote %s (%d units)\n", *calibOut, len(prof.Units))
 		return
 	}
-	exMode, err := pic.ParseExchangeModeStrict(*poissonEx)
-	if err != nil {
-		fatal(err)
-	}
 	if *quick {
 		*steps = 3
 		*repeats = 1
@@ -205,11 +196,18 @@ func main() {
 		Repeats: *repeats,
 	}
 	for _, n := range rankList {
-		for _, strat := range []exchange.Strategy{exchange.Centralized, exchange.Distributed} {
+		for _, strat := range []string{"cc", "dc"} {
 			for _, wk := range workerList {
-				r, err := benchCell(n, strat, exMode, *steps, *repeats, *seed, *injectH, wk)
+				// cmd/plasmasim's plume scaled down so the full matrix stays
+				// fast. The balancer checks every 20 steps
+				// (balance.DefaultConfig's T), not at the daemon's default of 5.
+				spec := scenario.Spec{
+					Steps: *steps, Seed: *seed, SimWorkers: wk, InjectHPerStep: *injectH,
+					Strategy: strat, PoissonExchange: *poissonEx, LBT: 20,
+				}
+				r, err := benchCell(n, spec, *repeats)
 				if err != nil {
-					fatal(fmt.Errorf("ranks=%d strategy=%v workers=%d: %w", n, strat, wk, err))
+					fatal(fmt.Errorf("ranks=%d strategy=%s workers=%d: %w", n, strat, wk, err))
 				}
 				rep.Runs = append(rep.Runs, r)
 				fmt.Printf("ranks=%d %s (%s) workers=%d: wall %.3fs, %d particles, %d allocs, %d CG iters\n",
@@ -236,23 +234,26 @@ func main() {
 
 // benchCell runs one (ranks, strategy, workers) cell `repeats` times with
 // the same seed and reduces the observations to medians.
-func benchCell(n int, strat exchange.Strategy, exMode pic.ExchangeMode, steps, repeats int, seed uint64, injectH, workers int) (runResult, error) {
+func benchCell(n int, spec scenario.Spec, repeats int) (runResult, error) {
 	res := runResult{
-		Ranks:           n,
-		Workers:         workers,
-		Strategy:        strat.String(),
-		PoissonExchange: exMode.String(),
-		PhaseMedianS:    map[string]float64{},
-		Traffic:         map[string]trafficStats{},
+		Ranks:        n,
+		Workers:      spec.SimWorkers,
+		PhaseMedianS: map[string]float64{},
+		Traffic:      map[string]trafficStats{},
 	}
 	phaseSamples := map[string][]float64{}
 	phaseTotals := map[string][]float64{} // per-repeat totals (Σ ranks, steps)
 	var allocBytes, allocs []int64
 	for rep := 0; rep < repeats; rep++ {
-		cfg, err := benchConfig(strat, exMode, steps, seed, injectH, workers)
+		ref, err := spec.Grids()
 		if err != nil {
 			return res, err
 		}
+		cfg, err := spec.Config(ref)
+		if err != nil {
+			return res, err
+		}
+		res.Strategy, res.PoissonExchange = cfg.Strategy.String(), cfg.PoissonExchange.String()
 		collector := metrics.NewCollector(n, nil)
 		cfg.Metrics = collector
 		world := simmpi.NewWorld(n, simmpi.Options{})
@@ -310,41 +311,6 @@ func benchCell(n int, strat exchange.Strategy, exMode pic.ExchangeMode, steps, r
 	res.AllocBytes = medianInt64(allocBytes)
 	res.Allocs = medianInt64(allocs)
 	return res, nil
-}
-
-// benchConfig builds the plume case: the nozzle geometry and physics of
-// cmd/plasmasim's defaults, scaled down so the full matrix stays fast.
-func benchConfig(strat exchange.Strategy, exMode pic.ExchangeMode, steps int, seed uint64, injectH, workers int) (core.Config, error) {
-	coarse, err := mesh.Nozzle(3, 8, 0.05, 0.2)
-	if err != nil {
-		return core.Config{}, err
-	}
-	ref, err := mesh.RefineUniform(coarse)
-	if err != nil {
-		return core.Config{}, err
-	}
-	lbCfg := balance.DefaultConfig()
-	lbCfg.Strategy = strat
-	return core.Config{
-		Ref:              ref,
-		Steps:            steps,
-		PICSubsteps:      2,
-		DtDSMC:           1.2586e-6,
-		InjectHPerStep:   injectH,
-		InjectIonPerStep: injectH / 10,
-		Drift:            10000,
-		WeightH:          1e12,
-		WeightIon:        6000,
-		Wall:             dsmc.WallModel{Kind: dsmc.DiffuseWall, Temperature: 300},
-		Strategy:         strat,
-		Reactions:        dsmc.DefaultHydrogenReactions(),
-		Cost:             core.DefaultCostModel(commcost.Tianhe2, commcost.InnerFrame),
-		PoissonTol:       1e-6,
-		PoissonExchange:  exMode,
-		Seed:             seed,
-		Workers:          workers,
-		LB:               &lbCfg,
-	}, nil
 }
 
 // benchSchema is the current output schema tag.

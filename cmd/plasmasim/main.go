@@ -15,16 +15,13 @@ import (
 	"sort"
 	"time"
 
-	"github.com/plasma-hpc/dsmcpic/internal/balance"
 	"github.com/plasma-hpc/dsmcpic/internal/commcost"
 	"github.com/plasma-hpc/dsmcpic/internal/core"
 	"github.com/plasma-hpc/dsmcpic/internal/diag"
-	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
-	"github.com/plasma-hpc/dsmcpic/internal/exchange"
 	"github.com/plasma-hpc/dsmcpic/internal/mesh"
 	"github.com/plasma-hpc/dsmcpic/internal/metrics"
 	"github.com/plasma-hpc/dsmcpic/internal/particle"
-	"github.com/plasma-hpc/dsmcpic/internal/pic"
+	"github.com/plasma-hpc/dsmcpic/internal/scenario"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 	"github.com/plasma-hpc/dsmcpic/internal/vtkio"
 )
@@ -77,16 +74,23 @@ func main() {
 	)
 	flag.Parse()
 
-	strat := exchange.Distributed
-	if *strategy == "cc" {
-		strat = exchange.Centralized
-	} else if *strategy != "dc" {
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-		os.Exit(2)
+	// Every flag Spec models maps 1:1 onto its field and follows its
+	// zero-value rules (e.g. -inject-ion 0 means inject-h/10). What Spec
+	// does not model — a mesh file, the platform, calibration, balancer
+	// weights, metrics and faults — is applied to the built config below.
+	spec := scenario.Spec{
+		MeshN: *meshN, MeshNZ: *meshNZ, Radius: *radius, Length: *length,
+		Ranks: *ranks, Steps: *steps, Seed: *seed, SimWorkers: *workers,
+		DtDSMC: *dt, InjectHPerStep: *injectH, InjectIonPerStep: *injectIon, Drift: *drift,
+		Strategy: *strategy, PoissonExchange: *poissonEx,
+		NoLB: !*lb, LBT: *lbT, LBThreshold: *lbThr,
 	}
-	exMode, exErr := pic.ParseExchangeModeStrict(*poissonEx)
-	if exErr != nil {
-		fmt.Fprintln(os.Stderr, exErr)
+	if *outletR > 0 {
+		spec.Case, spec.OutletRadius = "conical", *outletR
+	}
+	spec, err := spec.Normalized()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	var plat commcost.Platform
@@ -102,48 +106,36 @@ func main() {
 		os.Exit(2)
 	}
 
-	var coarse *mesh.Mesh
-	var err error
+	var ref *mesh.Refinement
 	if *meshFile != "" {
 		f, ferr := os.Open(*meshFile)
 		if ferr != nil {
 			fatal(ferr)
 		}
-		coarse, err = mesh.Load(f)
+		coarse, lerr := mesh.Load(f)
 		f.Close()
-	} else if *outletR > 0 {
-		coarse, err = mesh.ConicalNozzle(*meshN, *meshNZ, *radius, *outletR, *length)
+		if lerr != nil {
+			fatal(lerr)
+		}
+		ref, err = mesh.RefineUniform(coarse)
 	} else {
-		coarse, err = mesh.Nozzle(*meshN, *meshNZ, *radius, *length)
+		ref, err = spec.Grids()
 	}
 	if err != nil {
 		fatal(err)
 	}
-	ref, err := mesh.RefineUniform(coarse)
-	if err != nil {
-		fatal(err)
-	}
+	coarse := ref.Coarse
 	fmt.Printf("nozzle: %d coarse cells, %d fine cells, %d fine nodes\n",
 		coarse.NumCells(), ref.Fine.NumCells(), ref.Fine.NumNodes())
 
-	cfg := core.Config{
-		Ref:              ref,
-		Steps:            *steps,
-		PICSubsteps:      2,
-		DtDSMC:           *dt,
-		InjectHPerStep:   *injectH,
-		InjectIonPerStep: *injectIon,
-		Drift:            *drift,
-		WeightH:          1e12,
-		WeightIon:        6000,
-		Wall:             dsmc.WallModel{Kind: dsmc.DiffuseWall, Temperature: 300},
-		Strategy:         strat,
-		Reactions:        dsmc.DefaultHydrogenReactions(),
-		Cost:             core.DefaultCostModel(plat, commcost.InnerFrame),
-		PoissonTol:       1e-6,
-		PoissonExchange:  exMode,
-		Seed:             *seed,
-		Workers:          *workers,
+	cfg, err := spec.Config(ref)
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Cost = core.DefaultCostModel(plat, commcost.InnerFrame)
+	if cfg.LB != nil {
+		cfg.LB.WCell = *wcell
+		cfg.LB.UseKM = !*noKM
 	}
 	if *calibPath != "" {
 		prof, err := core.LoadCalibrationFile(*calibPath)
@@ -157,18 +149,9 @@ func main() {
 	}
 	var collector *metrics.Collector
 	if *metricsOut != "" || *traceOut != "" || *measuredLB {
-		collector = metrics.NewCollector(*ranks, nil)
+		collector = metrics.NewCollector(spec.Ranks, nil)
 		cfg.Metrics = collector
 		cfg.MeasuredLB = *measuredLB
-	}
-	if *lb {
-		lbCfg := balance.DefaultConfig()
-		lbCfg.T = *lbT
-		lbCfg.Threshold = *lbThr
-		lbCfg.WCell = *wcell
-		lbCfg.UseKM = !*noKM
-		lbCfg.Strategy = strat
-		cfg.LB = &lbCfg
 	}
 
 	if *resume != "" {
@@ -176,9 +159,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		remaining := *steps - (cp.Step + 1)
+		remaining := spec.Steps - (cp.Step + 1)
 		if remaining <= 0 {
-			fatal(fmt.Errorf("checkpoint %s is already at step %d of %d", *resume, cp.Step, *steps))
+			fatal(fmt.Errorf("checkpoint %s is already at step %d of %d", *resume, cp.Step, spec.Steps))
 		}
 		cp.Apply(&cfg)
 		cfg.Steps = remaining
@@ -204,8 +187,8 @@ func main() {
 
 	var fault *simmpi.FaultPlan
 	if *faultRank >= 0 {
-		if *faultRank >= *ranks {
-			fatal(fmt.Errorf("-fault-rank %d is outside the %d-rank world", *faultRank, *ranks))
+		if *faultRank >= spec.Ranks {
+			fatal(fmt.Errorf("-fault-rank %d is outside the %d-rank world", *faultRank, spec.Ranks))
 		}
 		if *faultPhase != "" {
 			known := false
@@ -237,7 +220,7 @@ func main() {
 		// automatic restart from the last good one on rank failure.
 		var rec *core.RecoveryStats
 		stats, rec, err2 = core.ResilientRun(cfg, core.ResilienceOptions{
-			WorldSize:       *ranks,
+			WorldSize:       spec.Ranks,
 			WorldOptions:    simmpi.Options{Fault: fault, Deadline: *deadline},
 			CheckpointEvery: *ckptEvery,
 			MaxRestarts:     *maxRestarts,
@@ -252,7 +235,7 @@ func main() {
 			fmt.Println()
 		}
 	} else {
-		stats, err2 = core.Run(simmpi.NewWorld(*ranks, simmpi.Options{Deadline: *deadline}), cfg)
+		stats, err2 = core.Run(simmpi.NewWorld(spec.Ranks, simmpi.Options{Deadline: *deadline}), cfg)
 	}
 	if err2 != nil {
 		fatal(err2)
@@ -287,7 +270,7 @@ func main() {
 		}
 	}
 	fmt.Printf("completed %d steps on %d ranks in %v (host wall time)\n",
-		*steps, *ranks, time.Since(start).Round(time.Millisecond))
+		spec.Steps, spec.Ranks, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("final particles: %d  rebalances: %d  modeled total: %.3fs\n",
 		stats.TotalParticles(), stats.Rebalances(), stats.TotalTime())
 

@@ -77,6 +77,10 @@ var deterministicPkgs = map[string]bool{
 	// (Options.Clock) and shard/metric iteration is fixed slice order or
 	// sorted keys.
 	"cluster": true,
+	// scenario produces the canonical spec key and the core.Config every
+	// plume run is built from; replaying a cached result is sound only if
+	// one spec always yields the same key bytes and the same config.
+	"scenario": true,
 	// simmpi is the transport every deterministic package speaks through;
 	// its last wall-clock consumer (the deadlock detector's deadline) now
 	// reads an injected clock (Options.Clock), so the whole package holds

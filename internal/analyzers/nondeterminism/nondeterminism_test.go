@@ -60,6 +60,13 @@ func TestClusterPackage(t *testing.T) {
 	analysistest.Run(t, "testdata", nondeterminism.Analyzer, "cluster")
 }
 
+// TestScenarioPackage covers the scenario package's membership: the cache
+// key and the config of every plume run come from it, so one spec must
+// always yield the same key bytes and the same config.
+func TestScenarioPackage(t *testing.T) {
+	analysistest.Run(t, "testdata", nondeterminism.Analyzer, "scenario")
+}
+
 // TestOutsideDeterministicSet proves the analyzer is scoped: the same
 // patterns in a package outside the deterministic set produce nothing.
 func TestOutsideDeterministicSet(t *testing.T) {

@@ -10,12 +10,9 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/plasma-hpc/dsmcpic/internal/scenario"
 	"github.com/plasma-hpc/dsmcpic/internal/serve"
 )
-
-// maxSpecBytes bounds a submission body: a JobSpec is a flat struct of
-// scalars, so anything past this is not a spec.
-const maxSpecBytes = 1 << 20
 
 // Handler builds the router's HTTP API — the same surface as a single
 // plasmad, so clients need not know whether they talk to a daemon or a
@@ -72,12 +69,12 @@ func (r *Router) ownerUnavailable(w http.ResponseWriter, shard string) {
 // a given spec to the same shard, so identical submissions coalesce
 // cluster-wide into one world.
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxSpecBytes+1))
+	body, err := io.ReadAll(io.LimitReader(req.Body, scenario.MaxSpecBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	if len(body) > maxSpecBytes {
+	if len(body) > scenario.MaxSpecBytes {
 		writeError(w, http.StatusRequestEntityTooLarge, "job spec too large")
 		return
 	}
@@ -114,7 +111,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxSpecBytes))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, scenario.MaxSpecBytes))
 	if err != nil {
 		r.nProxyErr.Add(1)
 		writeError(w, http.StatusBadGateway, "shard reply unreadable: "+err.Error())

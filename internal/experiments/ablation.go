@@ -6,8 +6,6 @@ import (
 
 	"github.com/plasma-hpc/dsmcpic/internal/commcost"
 	"github.com/plasma-hpc/dsmcpic/internal/core"
-	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
-	"github.com/plasma-hpc/dsmcpic/internal/exchange"
 	"github.com/plasma-hpc/dsmcpic/internal/partition"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
@@ -40,23 +38,16 @@ func PartitionAblation(p Preset) (*PartitionAblationResult, error) {
 	res := &PartitionAblationResult{Ranks: p.Ranks}
 
 	runWith := func(owner []int32, n int) (float64, error) {
-		cfg := core.Config{
-			Ref:              ref,
-			Steps:            p.Steps,
-			PICSubsteps:      2,
-			DtDSMC:           DS2.DtDSMC,
-			InjectHPerStep:   DS2.InjectH,
-			InjectIonPerStep: DS2.InjectIon,
-			WeightH:          DS2.WeightH,
-			WeightIon:        DS2.WeightIon,
-			Wall:             dsmc.WallModel{Kind: dsmc.DiffuseWall, Temperature: 300},
-			Strategy:         exchange.Distributed,
-			Reactions:        dsmc.DefaultHydrogenReactions(),
-			Cost:             datasetCostModel(DS2, commcost.Tianhe2, commcost.InnerFrame),
-			PoissonTol:       1e-6,
-			InitialOwner:     owner,
-			Seed:             31,
+		spec := DS2.Spec
+		spec.Steps = p.Steps
+		spec.Seed = 31
+		cfg, err := spec.Config(ref)
+		if err != nil {
+			return 0, err
 		}
+		cfg.Cost = datasetCostModel(DS2, commcost.Tianhe2, commcost.InnerFrame)
+		cfg.LB = nil
+		cfg.InitialOwner = owner
 		stats, err := core.Run(simmpi.NewWorld(n, simmpi.Options{}), cfg)
 		if err != nil {
 			return 0, err

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"github.com/plasma-hpc/dsmcpic/internal/mesh"
+	"github.com/plasma-hpc/dsmcpic/internal/scenario"
 )
 
 // Dataset mirrors one row of paper Table I at reproduction scale.
@@ -25,18 +26,12 @@ type Dataset struct {
 	// Mirrors names the paper dataset this one scales down.
 	Mirrors string
 
-	// Nozzle resolution: transversal half-resolution n and axial cells.
-	MeshN, MeshNZ int
-	// Nozzle geometry (m).
-	Radius, Length float64
-
-	// Injection budgets per DSMC step (global simulation particles).
-	InjectH, InjectIon int
-	// Scaling factors (real particles per simulation particle).
-	WeightH, WeightIon float64
-
-	// DtDSMC in seconds; PIC runs 2 substeps of DtDSMC/2.
-	DtDSMC float64
+	// Spec is the dataset's plume: nozzle resolution and geometry,
+	// injection budgets per DSMC step (global simulation particles),
+	// scaling factors (real particles per simulation particle) and DtDSMC
+	// (PIC runs 2 substeps of DtDSMC/2). Every other field keeps the
+	// scenario default; each experiment sets steps, seed and strategy.
+	Spec scenario.Spec
 
 	// ParticleScale / GridScale amplify modeled work so the reproduction's
 	// computation-to-communication ratios match the paper's scale (each
@@ -58,50 +53,62 @@ type Dataset struct {
 var (
 	DS1 = Dataset{
 		Name: "DS1", Mirrors: "Dataset 1 (validation)",
-		MeshN: 3, MeshNZ: 8, Radius: 0.05, Length: 0.2,
-		InjectH: 1200, InjectIon: 240,
-		WeightH: 1e12, WeightIon: 6000,
-		DtDSMC:        1.25e-6,
+		Spec: scenario.Spec{
+			MeshN: 3, MeshNZ: 8, Radius: 0.05, Length: 0.2,
+			InjectHPerStep: 1200, InjectIonPerStep: 240,
+			WeightH: 1e12, WeightIon: 6000,
+			DtDSMC: 1.25e-6,
+		},
 		ParticleScale: 1000, GridScale: 5, MigrationScale: 50,
 	}
 	DS2 = Dataset{
 		Name: "DS2", Mirrors: "Dataset 2 (1e9 H / 1e8 H+)",
-		MeshN: 4, MeshNZ: 10, Radius: 0.05, Length: 0.2,
-		InjectH: 4000, InjectIon: 400,
-		WeightH: 9.94e10, WeightIon: 0.477,
-		DtDSMC:        1.2586e-6,
+		Spec: scenario.Spec{
+			MeshN: 4, MeshNZ: 10, Radius: 0.05, Length: 0.2,
+			InjectHPerStep: 4000, InjectIonPerStep: 400,
+			WeightH: 9.94e10, WeightIon: 0.477,
+			DtDSMC: 1.2586e-6,
+		},
 		ParticleScale: 15000, GridScale: 23, MigrationScale: 20000,
 	}
 	DS3 = Dataset{
 		Name: "DS3", Mirrors: "Dataset 3 (1e8 H / 1e7 H+, same grid)",
-		MeshN: 4, MeshNZ: 10, Radius: 0.05, Length: 0.2,
-		InjectH: 400, InjectIon: 40,
-		WeightH: 9.94e11, WeightIon: 4.77,
-		DtDSMC:        1.2586e-6,
+		Spec: scenario.Spec{
+			MeshN: 4, MeshNZ: 10, Radius: 0.05, Length: 0.2,
+			InjectHPerStep: 400, InjectIonPerStep: 40,
+			WeightH: 9.94e11, WeightIon: 4.77,
+			DtDSMC: 1.2586e-6,
+		},
 		ParticleScale: 15000, GridScale: 23, MigrationScale: 200,
 	}
 	DS4 = Dataset{
 		Name: "DS4", Mirrors: "Dataset 4 (half of Dataset 2)",
-		MeshN: 4, MeshNZ: 10, Radius: 0.05, Length: 0.2,
-		InjectH: 2000, InjectIon: 200,
-		WeightH: 1.988e11, WeightIon: 0.954,
-		DtDSMC:        1.2586e-6,
+		Spec: scenario.Spec{
+			MeshN: 4, MeshNZ: 10, Radius: 0.05, Length: 0.2,
+			InjectHPerStep: 2000, InjectIonPerStep: 200,
+			WeightH: 1.988e11, WeightIon: 0.954,
+			DtDSMC: 1.2586e-6,
+		},
 		ParticleScale: 15000, GridScale: 23, MigrationScale: 10000,
 	}
 	DS5 = Dataset{
 		Name: "DS5", Mirrors: "Dataset 5 (larger grid)",
-		MeshN: 6, MeshNZ: 14, Radius: 0.05, Length: 0.2,
-		InjectH: 2800, InjectIon: 110,
-		WeightH: 1.4e11, WeightIon: 12500,
-		DtDSMC:        0.9e-6,
+		Spec: scenario.Spec{
+			MeshN: 6, MeshNZ: 14, Radius: 0.05, Length: 0.2,
+			InjectHPerStep: 2800, InjectIonPerStep: 110,
+			WeightH: 1.4e11, WeightIon: 12500,
+			DtDSMC: 0.9e-6,
+		},
 		ParticleScale: 15000, GridScale: 29, MigrationScale: 10000,
 	}
 	DS6 = Dataset{
 		Name: "DS6", Mirrors: "Dataset 6 (larger grid, 2x particles)",
-		MeshN: 6, MeshNZ: 14, Radius: 0.05, Length: 0.2,
-		InjectH: 5600, InjectIon: 220,
-		WeightH: 2.8e11, WeightIon: 25000,
-		DtDSMC:        0.9e-6,
+		Spec: scenario.Spec{
+			MeshN: 6, MeshNZ: 14, Radius: 0.05, Length: 0.2,
+			InjectHPerStep: 5600, InjectIonPerStep: 220,
+			WeightH: 2.8e11, WeightIon: 25000,
+			DtDSMC: 0.9e-6,
+		},
 		ParticleScale: 15000, GridScale: 29, MigrationScale: 10000,
 	}
 )
@@ -117,15 +124,12 @@ var refCache sync.Map // string -> *mesh.Refinement
 
 // BuildRef returns the dataset's nested grids, cached process-wide.
 func (d Dataset) BuildRef() (*mesh.Refinement, error) {
-	key := fmt.Sprintf("%d/%d/%g/%g", d.MeshN, d.MeshNZ, d.Radius, d.Length)
+	s := d.Spec
+	key := fmt.Sprintf("%d/%d/%g/%g", s.MeshN, s.MeshNZ, s.Radius, s.Length)
 	if v, ok := refCache.Load(key); ok {
 		return v.(*mesh.Refinement), nil
 	}
-	coarse, err := mesh.Nozzle(d.MeshN, d.MeshNZ, d.Radius, d.Length)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := mesh.RefineUniform(coarse)
+	ref, err := s.Grids()
 	if err != nil {
 		return nil, err
 	}

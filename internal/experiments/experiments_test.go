@@ -25,13 +25,13 @@ func TestDatasetsBuild(t *testing.T) {
 	}
 	// Ratios mirror paper Table I: DS2 has 10x DS3's particles on the same
 	// grid; DS6 doubles DS5.
-	if DS2.InjectH != 10*DS3.InjectH {
+	if DS2.Spec.InjectHPerStep != 10*DS3.Spec.InjectHPerStep {
 		t.Error("DS2:DS3 particle ratio must be 10x")
 	}
-	if DS6.InjectH != 2*DS5.InjectH {
+	if DS6.Spec.InjectHPerStep != 2*DS5.Spec.InjectHPerStep {
 		t.Error("DS6:DS5 particle ratio must be 2x")
 	}
-	if DS2.MeshN != DS3.MeshN || DS5.MeshN != DS6.MeshN {
+	if DS2.Spec.MeshN != DS3.Spec.MeshN || DS5.Spec.MeshN != DS6.Spec.MeshN {
 		t.Error("grid pairing broken")
 	}
 }

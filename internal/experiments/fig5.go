@@ -6,8 +6,6 @@ import (
 
 	"github.com/plasma-hpc/dsmcpic/internal/commcost"
 	"github.com/plasma-hpc/dsmcpic/internal/core"
-	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
-	"github.com/plasma-hpc/dsmcpic/internal/exchange"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
 
@@ -38,23 +36,17 @@ func Fig5(steps int) (*Fig5Result, error) {
 	for c := range owner {
 		owner[c] = int32(c * nRanks / len(owner))
 	}
-	cfg := core.Config{
-		Ref:              ref,
-		Steps:            steps,
-		PICSubsteps:      2,
-		DtDSMC:           DS1.DtDSMC / 8, // plume front advances ~1.6mm/step
-		InjectHPerStep:   DS1.InjectH,
-		InjectIonPerStep: DS1.InjectIon,
-		WeightH:          DS1.WeightH,
-		WeightIon:        DS1.WeightIon,
-		Wall:             dsmc.WallModel{Kind: dsmc.DiffuseWall, Temperature: 300},
-		Strategy:         exchange.Distributed,
-		Reactions:        dsmc.DefaultHydrogenReactions(),
-		Cost:             datasetCostModel(DS1, commcost.Tianhe2, commcost.InnerFrame),
-		PoissonTol:       1e-6,
-		InitialOwner:     owner,
-		Seed:             11,
+	spec := DS1.Spec
+	spec.Steps = steps
+	spec.DtDSMC /= 8 // plume front advances ~1.6mm/step
+	spec.Seed = 11
+	cfg, err := spec.Config(ref)
+	if err != nil {
+		return nil, err
 	}
+	cfg.Cost = datasetCostModel(DS1, commcost.Tianhe2, commcost.InnerFrame)
+	cfg.LB = nil
+	cfg.InitialOwner = owner
 	world := simmpi.NewWorld(nRanks, simmpi.Options{})
 	stats, err := core.Run(world, cfg)
 	if err != nil {

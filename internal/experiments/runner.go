@@ -7,9 +7,7 @@ import (
 	"github.com/plasma-hpc/dsmcpic/internal/balance"
 	"github.com/plasma-hpc/dsmcpic/internal/commcost"
 	"github.com/plasma-hpc/dsmcpic/internal/core"
-	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
 	"github.com/plasma-hpc/dsmcpic/internal/exchange"
-	"github.com/plasma-hpc/dsmcpic/internal/pic"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
 
@@ -77,30 +75,26 @@ func Run(rs RunSpec) (*core.RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
-		Ref:              ref,
-		Steps:            rs.Steps,
-		PICSubsteps:      2,
-		DtDSMC:           rs.Dataset.DtDSMC,
-		InjectHPerStep:   rs.Dataset.InjectH,
-		InjectIonPerStep: rs.Dataset.InjectIon,
-		WeightH:          rs.Dataset.WeightH,
-		WeightIon:        rs.Dataset.WeightIon,
-		Wall:             dsmc.WallModel{Kind: dsmc.DiffuseWall, Temperature: 300},
-		Strategy:         rs.Strategy,
-		LB:               rs.LB,
-		Reactions:        dsmc.DefaultHydrogenReactions(),
-		Cost:             datasetCostModel(rs.Dataset, rs.Platform, rs.Placement),
-		PoissonTol:       1e-6,
-		// Paper reproduction runs the paper's Poisson communication
-		// structure: a full-vector re-assembly every CG iteration, whose
-		// O(nodes) rank-independent traffic is the Table IV scalability
-		// wall these experiments exist to exhibit. The owner-local mode
-		// (the repo's optimization beyond the paper, and the default
-		// elsewhere) is measured against it by the benchmark lab.
-		PoissonExchange: pic.ExchangeReplicated,
-		Seed:            rs.Seed + 1, // keep 0 a valid caller seed
+	spec := rs.Dataset.Spec
+	spec.Steps = rs.Steps
+	spec.Seed = rs.Seed + 1 // keep 0 a valid caller seed
+	spec.Strategy = "dc"
+	if rs.Strategy == exchange.Centralized {
+		spec.Strategy = "cc"
 	}
+	// Paper reproduction runs the paper's Poisson communication
+	// structure: a full-vector re-assembly every CG iteration, whose
+	// O(nodes) rank-independent traffic is the Table IV scalability wall
+	// these experiments exist to exhibit. The owner-local mode (the repo's
+	// optimization beyond the paper, and the default elsewhere) is
+	// measured against it by the benchmark lab.
+	spec.PoissonExchange = "replicated"
+	cfg, err := spec.Config(ref)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Cost = datasetCostModel(rs.Dataset, rs.Platform, rs.Placement)
+	cfg.LB = rs.LB
 	world := simmpi.NewWorld(rs.Ranks, simmpi.Options{})
 	stats, err := core.Run(world, cfg)
 	if err != nil {

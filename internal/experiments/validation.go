@@ -7,8 +7,6 @@ import (
 	"github.com/plasma-hpc/dsmcpic/internal/commcost"
 	"github.com/plasma-hpc/dsmcpic/internal/core"
 	"github.com/plasma-hpc/dsmcpic/internal/diag"
-	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
-	"github.com/plasma-hpc/dsmcpic/internal/exchange"
 	"github.com/plasma-hpc/dsmcpic/internal/particle"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
@@ -58,33 +56,26 @@ func Validation(nRanks, steps, nCheckpoints int) (*ValidationResult, error) {
 	const axisBins = 16
 	run := func(n int) (fields [][]float64, err error) {
 		fields = make([][]float64, nCheckpoints)
-		cfg := core.Config{
-			Ref:              ref,
-			Steps:            steps,
-			PICSubsteps:      2,
-			DtDSMC:           DS1.DtDSMC,
-			InjectHPerStep:   DS1.InjectH,
-			InjectIonPerStep: DS1.InjectIon,
-			WeightH:          DS1.WeightH,
-			WeightIon:        DS1.WeightIon,
-			Wall:             dsmc.WallModel{Kind: dsmc.DiffuseWall, Temperature: 300},
-			Strategy:         exchange.Distributed,
-			Reactions:        dsmc.DefaultHydrogenReactions(),
-			Cost:             datasetCostModel(DS1, commcost.Tianhe2, commcost.InnerFrame),
-			PoissonTol:       1e-6,
-			Seed:             7,
-			OnStep: func(step int, s *core.Solver) {
-				ci := isCheckpoint(step)
-				if ci < 0 {
-					return
-				}
-				dens := diag.GlobalDensity(s.Comm, s.St, ref.Coarse,
-					func(particle.Species) float64 { return DS1.WeightH },
-					func(sp particle.Species) bool { return sp == particle.H })
-				if s.Comm.Rank() == 0 {
-					fields[ci] = dens
-				}
-			},
+		spec := DS1.Spec
+		spec.Steps = steps
+		spec.Seed = 7
+		cfg, err := spec.Config(ref)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Cost = datasetCostModel(DS1, commcost.Tianhe2, commcost.InnerFrame)
+		cfg.LB = nil
+		cfg.OnStep = func(step int, s *core.Solver) {
+			ci := isCheckpoint(step)
+			if ci < 0 {
+				return
+			}
+			dens := diag.GlobalDensity(s.Comm, s.St, ref.Coarse,
+				func(particle.Species) float64 { return cfg.WeightH },
+				func(sp particle.Species) bool { return sp == particle.H })
+			if s.Comm.Rank() == 0 {
+				fields[ci] = dens
+			}
 		}
 		world := simmpi.NewWorld(n, simmpi.Options{})
 		if _, err := core.Run(world, cfg); err != nil {
@@ -109,8 +100,8 @@ func Validation(nRanks, steps, nCheckpoints int) (*ValidationResult, error) {
 	}
 	// Axis bins: average density of cells near the axis per z bin.
 	for ci := 0; ci < nCheckpoints; ci++ {
-		z, sp := diag.AxisProfile(ref.Coarse, serial[ci], DS1.Radius/2, DS1.Length, axisBins)
-		_, pp := diag.AxisProfile(ref.Coarse, parallel[ci], DS1.Radius/2, DS1.Length, axisBins)
+		z, sp := diag.AxisProfile(ref.Coarse, serial[ci], DS1.Spec.Radius/2, DS1.Spec.Length, axisBins)
+		_, pp := diag.AxisProfile(ref.Coarse, parallel[ci], DS1.Spec.Radius/2, DS1.Spec.Length, axisBins)
 		if ci == 0 {
 			res.AxisZ = z
 		}

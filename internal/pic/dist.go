@@ -69,8 +69,8 @@ func (m ExchangeMode) String() string {
 }
 
 // ParseExchangeModeStrict inverts ExchangeMode.String and rejects every
-// other spelling. It is what the command-line flags and the plasmad
-// JobSpec accept.
+// other spelling. scenario.Spec parses with it, so it is what the
+// command-line flags and the plasmad job spec accept.
 func ParseExchangeModeStrict(s string) (ExchangeMode, error) {
 	switch s {
 	case "owner":

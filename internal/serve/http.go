@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"github.com/plasma-hpc/dsmcpic/internal/core"
+	"github.com/plasma-hpc/dsmcpic/internal/scenario"
 	"github.com/plasma-hpc/dsmcpic/internal/vtkio"
 )
 
@@ -77,8 +80,21 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Read the whole body under the cap, so an oversized submission is
+	// refused whatever its content, not only when the decoder reaches the
+	// limit.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scenario.MaxSpecBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "job spec too large")
+			return
+		}
+		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+		return
+	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
@@ -296,7 +312,7 @@ func (s *Server) serveFrameVTK(w http.ResponseWriter, r *http.Request, j *Job) {
 		writeError(w, http.StatusInternalServerError, "stored frame unreadable: "+err.Error())
 		return
 	}
-	ref, err := j.Spec.buildRefinement()
+	ref, err := j.Spec.Grids()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "rebuild mesh: "+err.Error())
 		return

@@ -43,6 +43,15 @@ func TestPersistAcrossRestart(t *testing.T) {
 		t.Fatal("no result bytes")
 	}
 	firstID := out.Job.ID
+	// "done" is visible before the worker journals it (see runJob); the
+	// in-flight count drops only once the done record is written.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Health().InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker did not finish journaling the done job")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// SIGKILL analogue: no Drain, no Close; just drop unsynced bytes and
 	// abandon the old server.

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/plasma-hpc/dsmcpic/internal/scenario"
 )
 
 // testSpec is a fast job: the core test mesh at 2 ranks, a few steps, a
@@ -607,6 +609,36 @@ func TestInvalidSpecRejected(t *testing.T) {
 	}
 	if n := s.WorldsBuilt(); n != 0 {
 		t.Fatalf("invalid specs built %d worlds", n)
+	}
+}
+
+// TestSubmitOversizedBodyRejected: a shard reached without the router in
+// front refuses a body one byte past scenario.MaxSpecBytes with 413, even
+// when a valid spec opens it, and accepts one of exactly the cap.
+func TestSubmitOversizedBodyRejected(t *testing.T) {
+	s := NewServer(Options{Workers: 1})
+	defer s.Drain(time.Second)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	spec, _ := json.Marshal(testSpec(70))
+	post := func(size int) int {
+		body := bytes.Repeat([]byte(" "), size)
+		copy(body, spec)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(scenario.MaxSpecBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", code)
+	}
+	if n := s.WorldsBuilt(); n != 0 {
+		t.Fatalf("oversized submit built %d worlds", n)
+	}
+	if code := post(scenario.MaxSpecBytes); code != http.StatusAccepted {
+		t.Fatalf("submit of exactly the cap: status %d, want 202", code)
 	}
 }
 

@@ -471,6 +471,12 @@ func (s *Server) worker() {
 
 // runJob executes one job in a fresh simmpi.World, or finalizes it as
 // canceled if cancellation won the race while it sat in the queue.
+//
+// A finished job turns visible as done (j.finish) before recordTerminal
+// journals that state, and the in-flight count drops only after both. A
+// crash in between recovers the job as running and requeues it: the rerun
+// is byte-identical, so the client loses time, not a result. Callers that
+// need the done record on disk wait for Health().InFlight to reach zero.
 func (s *Server) runJob(j *Job) {
 	s.nRunning.Add(1)
 	defer s.nRunning.Add(-1)
@@ -488,7 +494,13 @@ func (s *Server) runJob(j *Job) {
 		})
 		defer timer.Stop()
 	}
-	cfg, err := j.Spec.BuildConfig()
+	// World construction — mesh generation and refinement here, Poisson
+	// assembly in core.Prepare — is the expensive step a cache hit avoids.
+	ref, err := j.Spec.Grids()
+	var cfg core.Config
+	if err == nil {
+		cfg, err = j.Spec.Config(ref)
+	}
 	if err != nil {
 		j.finish(nil, err, time.Now())
 		s.nFailed.Add(1)
