@@ -12,6 +12,8 @@
 // implied by the MPI rank placement (paper §VII-D2).
 package commcost
 
+import "sync"
+
 // Placement is an MPI rank placement strategy on a fat-tree machine
 // (paper Fig. 14).
 type Placement int
@@ -139,13 +141,43 @@ type DistanceMix struct {
 	CrossRack float64
 }
 
-// Mix computes the peer-distance distribution for n ranks placed with
+// mixKey is what a DistanceMix depends on: the platform's packaging, the
+// rank count and the placement.
+type mixKey struct {
+	coresPerNode, nodesPerFrame, framesPerRack, n int
+	pl                                            Placement
+}
+
+var (
+	mixMu    sync.Mutex
+	mixCache = map[mixKey]DistanceMix{}
+)
+
+// Mix returns the peer-distance distribution for n ranks placed with
 // strategy pl, assuming a uniformly random communication peer (the coupled
-// solver's migrations connect arbitrary rank pairs — paper §IV-B).
+// solver's migrations connect arbitrary rank pairs — paper §IV-B). The
+// mix is computed once per packaging, n and placement and then read from a
+// process-wide cache.
 func (p Platform) Mix(n int, pl Placement) DistanceMix {
 	if n <= 1 {
 		return DistanceMix{SameNode: 1}
 	}
+	key := mixKey{p.CoresPerNode, p.NodesPerFrame, p.FramesPerRack, n, pl}
+	mixMu.Lock()
+	m, ok := mixCache[key]
+	mixMu.Unlock()
+	if ok {
+		return m
+	}
+	m = p.computeMix(n, pl)
+	mixMu.Lock()
+	mixCache[key] = m
+	mixMu.Unlock()
+	return m
+}
+
+// computeMix is Mix without the cache (n > 1).
+func (p Platform) computeMix(n int, pl Placement) DistanceMix {
 	// Assign each rank a (node, frame, rack) coordinate per the strategy.
 	type coord struct{ node, frame, rack int }
 	coords := make([]coord, n)
@@ -200,19 +232,21 @@ func (p Platform) Mix(n int, pl Placement) DistanceMix {
 	sameNode := countPairs(func(c coord) int { return c.node })
 	sameFrame := countPairs(func(c coord) int { return c.frame })
 	sameRack := countPairs(func(c coord) int { return c.rack })
-	m := DistanceMix{
+	return DistanceMix{
 		SameNode:  sameNode / total,
 		SameFrame: (sameFrame - sameNode) / total,
 		SameRack:  (sameRack - sameFrame) / total,
 		CrossRack: (total - sameRack) / total,
 	}
-	return m
 }
 
 // EffectiveAlpha returns the expected per-message latency under the given
 // placement mix.
 func (p Platform) EffectiveAlpha(n int, pl Placement) float64 {
-	m := p.Mix(n, pl)
+	return p.alpha(p.Mix(n, pl))
+}
+
+func (p Platform) alpha(m DistanceMix) float64 {
 	return p.Alpha * (m.SameNode*p.SameNodeFactor +
 		m.SameFrame*p.InnerFrameLat +
 		m.SameRack*p.InnerRackLat +
@@ -222,17 +256,19 @@ func (p Platform) EffectiveAlpha(n int, pl Placement) float64 {
 // EffectiveBeta returns the expected bandwidth under the given placement
 // mix (only inter-rack traffic loses bandwidth).
 func (p Platform) EffectiveBeta(n int, pl Placement) float64 {
-	m := p.Mix(n, pl)
-	loss := m.CrossRack * p.InterRackBWLoss
-	return p.Beta * (1 - loss)
+	return p.beta(p.Mix(n, pl))
+}
+
+func (p Platform) beta(m DistanceMix) float64 {
+	return p.Beta * (1 - m.CrossRack*p.InterRackBWLoss)
 }
 
 // CommTime converts a phase's bottleneck traffic (the maximum messages and
 // bytes sent by any single rank — bulk-synchronous phases complete when the
 // busiest rank does) into modeled seconds, without a congestion term.
 func (p Platform) CommTime(maxMsgs, maxBytes int64, n int, pl Placement) float64 {
-	return float64(maxMsgs)*p.EffectiveAlpha(n, pl) +
-		float64(maxBytes)/p.EffectiveBeta(n, pl)
+	m := p.Mix(n, pl)
+	return float64(maxMsgs)*p.alpha(m) + float64(maxBytes)/p.beta(m)
 }
 
 // CommTimeCongested adds the network-congestion share to a rank's direct

@@ -2,6 +2,7 @@ package commcost
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +26,38 @@ func TestMixSumsToOne(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestMixCacheMatchesFreshComputation(t *testing.T) {
+	// Several goroutines fill and read the cache at once, as the ranks of
+	// one world do.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range []Platform{Tianhe2, BSCC, Tianhe3} {
+				for _, pl := range []Placement{InnerFrame, InnerRack, InterRack} {
+					for _, n := range []int{2, 24, 48, 96, 200, 768, 1536} {
+						want := p.computeMix(n, pl)
+						// The first call may fill the cache, the second reads it.
+						for i := 0; i < 2; i++ {
+							if got := p.Mix(n, pl); got != want {
+								t.Errorf("%s/%v n=%d call %d: Mix %+v, fresh %+v", p.Name, pl, n, i, got, want)
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Platforms that share a name but not a packaging do not share a mix.
+	small := Tianhe2
+	small.CoresPerNode = 4
+	if small.Mix(24, InnerFrame) == Tianhe2.Mix(24, InnerFrame) {
+		t.Error("mix cache ignores the platform's cores per node")
 	}
 }
 

@@ -1,17 +1,19 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/plasma-hpc/dsmcpic/internal/commcost"
+	"github.com/plasma-hpc/dsmcpic/internal/core"
 )
 
 // Tests use small presets; the cmd/experiments binary runs the full-scale
-// sweeps. Run caching makes repeated sub-experiments cheap.
+// sweeps. The rank-sweep tables share one preset, so the process-wide run
+// cache serves each DS2 run once to every table that reads it.
 
-func tinyPreset() Preset  { return Preset{Ranks: []int{24, 48}, Steps: 8} }
-func smallPreset() Preset { return Preset{Ranks: []int{24, 48, 96}, Steps: 10} }
+func tinyPreset() Preset { return Preset{Ranks: []int{24, 48}, Steps: 8} }
 
 func TestDatasetsBuild(t *testing.T) {
 	for name, ds := range Datasets {
@@ -90,19 +92,19 @@ func TestValidationSerialVsParallel(t *testing.T) {
 }
 
 func TestTable2ScalingShape(t *testing.T) {
-	res, err := Table2(smallPreset())
+	res, err := Table2(tinyPreset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every variant speeds up from 24 to 96 ranks.
+	// Every variant speeds up from the smallest to the largest rank count.
 	for _, v := range Variants {
-		ts := res.Times[v.Name]
+		ts := res.Row(v.Name)
 		if ts[len(ts)-1] >= ts[0] {
 			t.Errorf("%s does not scale: %v", v.Name, ts)
 		}
 	}
 	// LB helps the DC strategy at small rank counts (paper: ~40%+ at 48).
-	imp := res.LBImprovement("DC")
+	imp := res.Row("DC LB %")
 	if imp[0] <= 0 {
 		t.Errorf("DC load balancing shows no improvement at %d ranks: %v%%", res.Ranks[0], imp)
 	}
@@ -110,33 +112,114 @@ func TestTable2ScalingShape(t *testing.T) {
 }
 
 func TestTable3MoveTimesImprove(t *testing.T) {
-	res, err := Table3(smallPreset())
+	res, err := Table3(tinyPreset())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Movement times shrink with LB (paper: to under one third).
-	lb := res.Times["DSMC_Move LB"]
-	nolb := res.Times["DSMC_Move noLB"]
+	lb := res.Row("DSMC_Move LB")
+	nolb := res.Row("DSMC_Move noLB")
 	if lb[0] >= nolb[0] {
 		t.Errorf("LB did not reduce DSMC_Move at %d ranks: %v vs %v", res.Ranks[0], lb[0], nolb[0])
 	}
 	_ = res.Table()
 }
 
+// poissonScalesWorst reports whether Poisson_Solve has the worst scaling
+// ratio (first/last time) of all major components in a Table IV — the
+// paper's conclusion.
+func poissonScalesWorst(r *Table) bool {
+	ratio := func(comp string) float64 {
+		ts := r.Row(comp)
+		if len(ts) == 0 || ts[len(ts)-1] <= 0 {
+			return 0
+		}
+		return ts[0] / ts[len(ts)-1] // higher = better scaling
+	}
+	pr := ratio(core.CompPoisson)
+	for _, comp := range []string{core.CompDSMCMove, core.CompInject, core.CompReindex, core.CompPICMove} {
+		if ratio(comp) <= pr {
+			return false
+		}
+	}
+	return true
+}
+
 func TestTable4PoissonBottleneck(t *testing.T) {
-	res, err := Table4(smallPreset())
+	res, err := Table4(tinyPreset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.PoissonScalesWorst() {
+	if !poissonScalesWorst(res) {
 		t.Error("Poisson_Solve is not the worst-scaling component (paper Table IV)")
 	}
 	// Poisson time roughly flat or growing across ranks.
-	ts := res.Times["Poisson_Solve"]
+	ts := res.Row("Poisson_Solve")
 	if ts[len(ts)-1] < 0.5*ts[0] {
 		t.Errorf("Poisson_Solve scaled too well: %v", ts)
 	}
 	_ = res.Table()
+}
+
+func TestTablesShareRuns(t *testing.T) {
+	// Tables III and IV read other metrics of Table II's runs, so they
+	// must not add any run of their own.
+	p := tinyPreset()
+	if _, err := Table2(p); err != nil {
+		t.Fatal(err)
+	}
+	before := runCacheLen()
+	for _, table := range []func(Preset) (*Table, error){Table3, Table4} {
+		if _, err := table(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runCacheLen(); after != before {
+		t.Errorf("Tables III and IV added %d runs beyond Table II's", after-before)
+	}
+}
+
+func runCacheLen() int {
+	runCacheMu.Lock()
+	defer runCacheMu.Unlock()
+	return len(runCache)
+}
+
+func TestTableRender(t *testing.T) {
+	tab := &Table{
+		Title: "Demo — seconds",
+		Ranks: []int{24, 192},
+		Rows: []Row{
+			{Label: "fast", Vals: []float64{1.25, 0.5}},
+			{Label: "slow", Vals: []float64{12.5, 3}},
+			{Label: "gain", Vals: []float64{90, 83.333}, Verb: "%7.1f%%"},
+		},
+		Footer: []string{"(note)"},
+		label:  6, cell: "%8.2f",
+	}
+	want := "Demo — seconds\n" +
+		"            24     192\n" +
+		"fast      1.25    0.50\n" +
+		"slow     12.50    3.00\n" +
+		"gain     90.0%   83.3%\n" +
+		"(note)\n"
+	if got := tab.Table(); got != want {
+		t.Errorf("rendered\n%s\nwant\n%s", got, want)
+	}
+	if v := tab.Row("slow"); len(v) != 2 || v[1] != 3 {
+		t.Errorf("Row(slow) = %v", v)
+	}
+	if tab.Row("missing") != nil {
+		t.Error("Row of a missing label is not nil")
+	}
+}
+
+// ccWinsAtScale reports whether the centralized strategy's exchange cost
+// in a Fig. 11 table drops below the distributed one at the largest rank
+// count (the paper's crossover).
+func ccWinsAtScale(r *Table) bool {
+	last := len(r.Ranks) - 1
+	return r.Row("CC_exchange")[last] < r.Row("DC_exchange")[last]
 }
 
 func TestFig11CommStrategies(t *testing.T) {
@@ -146,49 +229,64 @@ func TestFig11CommStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.CCWinsAtScale() {
+	if !ccWinsAtScale(res) {
 		t.Errorf("centralized exchange not cheaper at %d ranks with few particles: DC %v CC %v",
-			res.Ranks[len(res.Ranks)-1], res.DCExchange, res.CCExchange)
+			res.Ranks[len(res.Ranks)-1], res.Row("DC_exchange"), res.Row("CC_exchange"))
 	}
 	// At the lower rank count the distributed strategy is competitive
 	// (total within 25%) — the paper's "quite close" regime.
-	if res.DCTotal[0] > 1.25*res.CCTotal[0] {
-		t.Errorf("DC not competitive at %d ranks: DC %v vs CC %v", res.Ranks[0], res.DCTotal[0], res.CCTotal[0])
+	dcTotal, ccTotal := res.Row("DC total"), res.Row("CC total")
+	if dcTotal[0] > 1.25*ccTotal[0] {
+		t.Errorf("DC not competitive at %d ranks: DC %v vs CC %v", res.Ranks[0], dcTotal[0], ccTotal[0])
 	}
 	_ = res.Table()
 }
 
+// kmHelps reports whether KM reduces (or matches) a Table V's rebalance
+// overhead for the given strategy at the smallest rank count, where
+// rebalancing is most frequent (the paper's Table V trend).
+func kmHelps(r *Table, strategy string) bool {
+	with := r.Row(strategy + " with KM")
+	without := r.Row(strategy + " without KM")
+	if len(with) == 0 || len(without) == 0 {
+		return false
+	}
+	return with[0] <= without[0]*1.05
+}
+
 func TestTable5KM(t *testing.T) {
-	res, err := Table5(smallPreset())
+	res, err := Table5(tinyPreset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.KMHelps("DC") {
+	if !kmHelps(res, "DC") {
 		t.Errorf("KM does not reduce DC rebalance overhead: %v vs %v",
-			res.Overhead["DC with KM"], res.Overhead["DC without KM"])
+			res.Row("DC with KM"), res.Row("DC without KM"))
 	}
 	_ = res.Table()
 }
 
 func TestSweepsComplete(t *testing.T) {
 	p := tinyPreset()
-	for name, fn := range map[string]func(Preset) (*SweepResult, error){
+	for name, fn := range map[string]func(Preset) (*Table, error){
 		"fig12": Fig12, "fig13": Fig13, "table6": Table6,
 	} {
 		res, err := fn(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for li := range res.Labels {
+		var rows [][]float64
+		for _, row := range res.Rows {
 			for ri := range res.Ranks {
-				if res.Times[li][ri] <= 0 {
-					t.Errorf("%s: zero time at %s/%d", name, res.Labels[li], res.Ranks[ri])
+				if row.Vals[ri] <= 0 {
+					t.Errorf("%s: zero time at %s/%d", name, row.Label, res.Ranks[ri])
 				}
 			}
+			rows = append(rows, row.Vals)
 		}
 		// Parameter sensitivity is secondary (paper: effects are modest);
 		// spreads should not be wild.
-		for _, s := range res.Spread() {
+		for _, s := range spread(rows...) {
 			if s > 1.0 {
 				t.Errorf("%s: spread %.0f%% implausibly large", name, 100*s)
 			}
@@ -197,19 +295,48 @@ func TestSweepsComplete(t *testing.T) {
 	}
 }
 
+// innerFrameFastest reports whether inner-frame placement is never slower
+// than inter-rack for both strategies of a Fig. 14 table.
+func innerFrameFastest(r *Table) bool {
+	for _, s := range []string{"DC", "CC"} {
+		frame, rack := r.Row(s+" inner-frame"), r.Row(s+" inter-rack")
+		for ri := range r.Ranks {
+			if frame[ri] > rack[ri]*1.001 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestFig14Placement(t *testing.T) {
-	res, err := Fig14(smallPreset())
+	res, err := Fig14(tinyPreset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.InnerFrameFastest() {
+	if !innerFrameFastest(res) {
 		t.Error("inner-frame placement not fastest")
 	}
 	// Paper: differences are small (1-2% measured; allow some slack).
-	if res.MaxSpread() > 0.10 {
-		t.Errorf("placement spread %.1f%% too large", 100*res.MaxSpread())
+	if placementSpread(res) > 0.10 {
+		t.Errorf("placement spread %.1f%% too large", 100*placementSpread(res))
 	}
 	_ = res.Table()
+}
+
+// strategyGap returns |DC-CC|/DC averaged over the rank counts of one
+// platform/dataset of a Fig. 15 table; the paper observes smaller gaps on
+// the larger grids (DS5/DS6) than on DS2/DS4.
+func strategyGap(r *Table, platform, dataset string) float64 {
+	dc := r.Row(platform + " " + dataset + " DC")
+	cc := r.Row(platform + " " + dataset + " CC")
+	var sum float64
+	for i := range dc {
+		if dc[i] > 0 {
+			sum += math.Abs(cc[i]-dc[i]) / dc[i]
+		}
+	}
+	return sum / float64(len(dc))
 }
 
 func TestFig15Portability(t *testing.T) {
@@ -221,7 +348,7 @@ func TestFig15Portability(t *testing.T) {
 	// (the centralized root can saturate at scale, as in the paper).
 	for _, platform := range []string{commcost.Tianhe2.Name, commcost.Tianhe3.Name} {
 		for _, ds := range []string{"DS2", "DS4", "DS5", "DS6"} {
-			ts := res.Times[platform][ds]["DC"]
+			ts := res.Row(platform + " " + ds + " DC")
 			if ts[len(ts)-1] >= ts[0] {
 				t.Errorf("%s/%s DC does not scale: %v", platform, ds, ts)
 			}
@@ -229,8 +356,8 @@ func TestFig15Portability(t *testing.T) {
 	}
 	// Larger grids (DS5/DS6) show a smaller DC/CC gap than DS2/DS4 on
 	// Tianhe-2 (paper Fig. 15 observation).
-	gapSmall := res.StrategyGap(commcost.Tianhe2.Name, "DS2")
-	gapLarge := res.StrategyGap(commcost.Tianhe2.Name, "DS5")
+	gapSmall := strategyGap(res, commcost.Tianhe2.Name, "DS2")
+	gapLarge := strategyGap(res, commcost.Tianhe2.Name, "DS5")
 	if gapLarge > gapSmall*1.5 {
 		t.Errorf("strategy gap on the larger grid (%.3f) should not exceed the smaller grid's (%.3f) by 50%%",
 			gapLarge, gapSmall)

@@ -28,7 +28,7 @@ func FullPreset() Preset {
 	return Preset{Ranks: []int{24, 48, 96, 192, 384, 768, 1536}, Steps: 10}
 }
 
-// QuickPreset is the reduced sweep used by the benchmarks by default.
+// QuickPreset is the reduced sweep `make experiments` prints.
 func QuickPreset() Preset {
 	return Preset{Ranks: []int{24, 48, 96}, Steps: 10}
 }

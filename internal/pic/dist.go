@@ -124,8 +124,8 @@ type DistSolver struct {
 	bL, rL, zL, apL, chgL []float64 // owned-length CG state
 	pL, xL                []float64 // owned+ghost (matvec reads ghosts)
 
-	// Replicated-mode state: full is the n-length broadcast receive buffer
-	// (and rank 0's assembly scratch); fullEnc is rank 0's encode buffer.
+	// Replicated-mode state, on rank 0 only: full is the n-length
+	// assembly scratch and fullEnc its broadcast encoding.
 	full    []float64
 	fullEnc []byte
 
@@ -169,9 +169,9 @@ func NewDistSolver(p *Poisson, owner []int32, nRanks, rank int, mode ExchangeMod
 	if err != nil {
 		return nil, err
 	}
-	n := p.Fine.NumNodes()
-	d.full = make([]float64, n)
 	if rank == 0 {
+		n := p.Fine.NumNodes()
+		d.full = make([]float64, n)
 		d.fullEnc = make([]byte, 8*n)
 	}
 	return d, nil
@@ -287,8 +287,8 @@ func (d *DistSolver) seedGuess(comm *simmpi.Comm, phi []float64) {
 }
 
 // spread refreshes the ghost tail of a local vector from the owners. The
-// replicated refresh re-assembles the full vector through rank 0 into the
-// hoisted n-length buffer and copies the ghost tail out of it.
+// replicated refresh re-assembles the full vector through rank 0 and
+// decodes only the ghost entries of the broadcast.
 //
 //commvet:hot
 func (d *DistSolver) spread(comm *simmpi.Comm, vec []float64) {
@@ -297,21 +297,19 @@ func (d *DistSolver) spread(comm *simmpi.Comm, vec []float64) {
 		return
 	}
 	nOwn := len(d.mine)
-	d.replicate(comm, vec[:nOwn], d.full)
-	for j, g := range d.local.Ghosts() {
-		vec[nOwn+j] = d.full[g]
-	}
+	simmpi.DecodeFloat64sGather(vec[nOwn:], d.local.Ghosts(), d.replicate(comm, vec[:nOwn]))
 }
 
-// replicate re-assembles a full vector from per-rank owned segments into
-// dst on every rank: gather the owned values at rank 0, which assembles
-// and broadcasts the full vector. Traffic is O(nodes) regardless of rank
-// count, funnelled through rank 0 — the communication structure behind
-// the paper's Poisson scalability wall. encBuf is repacked on every call;
-// see the sendBuf note on DistSolver for why that is safe.
+// replicate re-assembles a full vector from per-rank owned segments and
+// returns its encoding on every rank: gather the owned values at rank 0,
+// which assembles and broadcasts the full vector. Traffic is O(nodes)
+// regardless of rank count, funnelled through rank 0 — the communication
+// structure behind the paper's Poisson scalability wall. encBuf is
+// repacked on every call; see the sendBuf note on DistSolver for why that
+// is safe.
 //
 //commvet:hot
-func (d *DistSolver) replicate(comm *simmpi.Comm, owned, dst []float64) {
+func (d *DistSolver) replicate(comm *simmpi.Comm, owned []float64) []byte {
 	d.encBuf = simmpi.EncodeFloat64sInto(d.encBuf, owned)
 	parts := comm.Gatherv(0, d.encBuf)
 	var blob []byte
@@ -322,8 +320,7 @@ func (d *DistSolver) replicate(comm *simmpi.Comm, owned, dst []float64) {
 		d.fullEnc = simmpi.EncodeFloat64sInto(d.fullEnc, d.full)
 		blob = d.fullEnc
 	}
-	blob = comm.Bcast(0, blob)
-	simmpi.DecodeFloat64sInto(dst, blob)
+	return comm.Bcast(0, blob)
 }
 
 // assemble publishes the converged xL into phi: replicated mode
@@ -331,7 +328,7 @@ func (d *DistSolver) replicate(comm *simmpi.Comm, owned, dst []float64) {
 // value only to the ranks that read it.
 func (d *DistSolver) assemble(comm *simmpi.Comm, phi []float64) {
 	if d.Mode == ExchangeReplicated {
-		d.replicate(comm, d.xL[:len(d.mine)], phi)
+		simmpi.DecodeFloat64sInto(phi, d.replicate(comm, d.xL[:len(d.mine)]))
 		return
 	}
 	d.assembleOwnerLocal(comm, phi)

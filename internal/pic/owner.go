@@ -276,8 +276,8 @@ func (d *DistSolver) GatherPhi(comm *simmpi.Comm, phi []float64) {
 // ResidentState is the per-rank resident solver footprint backing the
 // metrics gauges: what this rank keeps in memory for the Poisson solve,
 // split into matrix storage, solver vectors and local⇄global/index-list
-// maps. Every term is O(nodes/P + ghosts) except replicated mode's one
-// n-length broadcast buffer. (The mesh, ownership tables and the
+// maps. Every term is O(nodes/P + ghosts) except replicated mode's
+// n-length assembly buffer on rank 0. (The mesh, ownership tables and the
 // assembly-time global K — shared with the rest of the solver — are
 // outside this scope; see DESIGN.md §6j.)
 type ResidentState struct {

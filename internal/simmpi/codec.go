@@ -179,6 +179,23 @@ func DecodeFloat64sScatter(dst []float64, idx []int32, b []byte) {
 	}
 }
 
+// DecodeFloat64sGather decodes selected entries of b into dst: dst[k] =
+// the idx[k]-th float64 of b. It reads a few entries of a broadcast
+// vector without decoding the rest. An index outside the payload is
+// transport corruption and panics descriptively, like
+// DecodeFloat64sScatter.
+func DecodeFloat64sGather(dst []float64, idx []int32, b []byte) {
+	if len(dst) != len(idx) {
+		panic(fmt.Sprintf("simmpi: gather into %d values from %d indices", len(dst), len(idx)))
+	}
+	for k, i := range idx {
+		if uint(i) >= uint(len(b)/8) {
+			panic(fmt.Sprintf("simmpi: gather index %d outside a payload of %d float64s", i, len(b)/8))
+		}
+		dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*int(i):]))
+	}
+}
+
 // DecodeFloat64sScatterAdd is DecodeFloat64sScatter with additive
 // semantics: dst[idx[k]] += the k-th float64 of b. It is the reduction
 // half of the boundary-only charge exchange, where several ranks'

@@ -186,3 +186,33 @@ func TestDecodeFloat64sScatterAddSizeMismatch(t *testing.T) {
 	}()
 	DecodeFloat64sScatterAdd(make([]float64, 4), []int32{0, 1}, make([]byte, 8))
 }
+
+func TestDecodeFloat64sGather(t *testing.T) {
+	blob := EncodeFloat64s([]float64{0, 10, 20, 30, 40, 50})
+	dst := make([]float64, 3)
+	DecodeFloat64sGather(dst, []int32{1, 5, 2}, blob)
+	want := []float64{10, 50, 20}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], want[i])
+		}
+	}
+	DecodeFloat64sGather(nil, nil, blob) // no ghosts is a no-op
+	for _, bad := range []struct {
+		dst []float64
+		idx []int32
+	}{
+		{make([]float64, 1), []int32{6}},  // past the payload
+		{make([]float64, 1), []int32{-1}}, // negative index
+		{make([]float64, 2), []int32{0}},  // dst and idx disagree
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("gather of %v into %d values did not panic", bad.idx, len(bad.dst))
+				}
+			}()
+			DecodeFloat64sGather(bad.dst, bad.idx, blob)
+		}()
+	}
+}
