@@ -43,7 +43,7 @@ func main() {
 		cacheCap     = flag.Int("cache", 64, "retained jobs (results are evicted LRU beyond this)")
 		maxRanks     = flag.Int("max-ranks", 16, "per-job simulated rank cap")
 		maxSteps     = flag.Int("max-steps", 512, "per-job step cap")
-		maxSimWk     = flag.Int("max-sim-workers", 8, "per-job cap on sim_workers (per-rank kernel worker goroutines; total goroutines scale as ranks × workers)")
+		maxSimWk     = flag.Int("max-sim-workers", 8, "per-job cap on sim_workers (per-rank kernel worker goroutines; they change wall time only, not the result or its cache key; total goroutines scale as ranks × workers)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none); past it the job is cooperatively canceled")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for running jobs at shutdown")
 		calibPath    = flag.String("calibration", "", "calibration profile JSON (from bench -calibrate) overriding built-in cost-model units")

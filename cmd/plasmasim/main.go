@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		ranks      = flag.Int("ranks", 8, "number of simulated MPI ranks")
-		workers    = flag.Int("workers", 1, "worker goroutines per rank inside the particle kernels (1 = exact legacy serial path; replay is byte-identical per (seed, workers) pair)")
+		workers    = flag.Int("workers", 1, "worker goroutines per rank inside the particle kernels (wall time only: the run is byte-identical for a seed at every worker count)")
 		steps      = flag.Int("steps", 25, "DSMC timesteps")
 		meshFile   = flag.String("mesh", "", "load the coarse grid from this file (from meshgen -o) instead of generating")
 		densityOut = flag.String("density-vtk", "", "write the final H number-density field to this VTK file")

@@ -55,8 +55,9 @@ var deterministicPkgs = map[string]bool{
 	"partition": true,
 	"commcost":  true,
 	// parallel chunks the kernels' index ranges across worker goroutines;
-	// its decomposition (Bounds) and reduction order are part of the
-	// byte-identical replay contract for a fixed (seed, workers) pair.
+	// its fixed decomposition (Bounds) is what lets the kernels apply
+	// per-chunk results in index order, keeping replay byte-identical for
+	// a fixed seed at every worker count.
 	"parallel": true,
 	// store journals jobs and persists results; recovery must reproduce
 	// the same on-disk state from the same operation sequence (LRU

@@ -24,11 +24,14 @@ import (
 // it must be a deliberate, migration-aware decision, not a drive-by field
 // reorder. The pinned value covers the defaulting rules too: a JobSpec
 // field added without omitempty, a changed default, or a reordered field
-// all change this hash. (It last moved on purpose when the poisson_exchange
-// default became "owner": results cached under the old default are no
-// longer served, see serve's TestRecoverySkipsRetiredExchangeDefault.)
+// all change this hash. (It last moved on purpose when sim_workers left
+// the key, together with the one change of the kernels' random draws that
+// made results independent of the worker count; before that, when the
+// poisson_exchange default became "owner". Results cached under an old
+// key are no longer served, see serve's
+// TestRecoverySkipsRetiredExchangeDefault.)
 func TestSpecKeyCanonicalBytesPinned(t *testing.T) {
-	const pinnedEmpty = "dd4295cb746993466dad27f5c826dad1d2b5eea4d2876acd48e26b8e118ed3ae"
+	const pinnedEmpty = "919437e1d86edf64634e3fc7b49580c7fe7846fc5ef3c88aa256cb6d487fa961"
 	key, err := serve.SpecKey(serve.JobSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +54,13 @@ func TestSpecKeyCanonicalBytesPinned(t *testing.T) {
 	if k, _ := serve.SpecKey(explicit); k != pinnedEmpty {
 		t.Fatalf("explicit defaults produced a different key: %s", k)
 	}
-	// Priority cannot affect the result, so it cannot affect the key.
+	// Priority and the kernel worker count cannot affect the result, so
+	// they cannot affect the key.
 	if k, _ := serve.SpecKey(serve.JobSpec{Priority: 9}); k != pinnedEmpty {
 		t.Fatal("priority leaked into the canonical key")
+	}
+	if k, _ := serve.SpecKey(serve.JobSpec{SimWorkers: 4}); k != pinnedEmpty {
+		t.Fatal("sim_workers leaked into the canonical key")
 	}
 	// Any result-relevant field must move the key.
 	if k, _ := serve.SpecKey(serve.JobSpec{Seed: 1}); k == pinnedEmpty {

@@ -93,12 +93,11 @@ type Config struct {
 	Seed uint64
 
 	// Workers is the number of worker goroutines each rank uses inside the
-	// hot particle kernels (movement, collisions, deposition, Boris push).
-	// 0 or 1 (the default) is the exact legacy serial path. Runs are
-	// byte-identical replays for a fixed (Seed, Workers) pair; different
-	// Workers values are different — each individually deterministic —
-	// stochastic trajectories, because per-chunk RNG streams and float
-	// reduction orders depend on the chunk decomposition.
+	// hot particle kernels (movement, collisions, deposition, Boris push);
+	// 0 means 1. It changes wall time only: the kernels key their RNG
+	// streams on particles and cells and add their contributions in index
+	// order, so a run is a byte-identical replay for a fixed Seed at every
+	// worker count.
 	Workers int
 
 	// Metrics, when non-nil, receives per-rank wall-clock phase timings

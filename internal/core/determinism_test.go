@@ -11,19 +11,21 @@ import (
 )
 
 // TestReplayByteIdentical is the determinism regression the commvet
-// nondeterminism analyzer defends: two identical seeded runs must produce
-// byte-identical per-rank traffic counters AND a byte-identical checkpoint
-// blob. This is a stronger contract than TestRunDeterministic's physics
-// counts — it pins the exact communication structure (message and byte
-// counts per phase per rank) and the exact serialized world state, which
+// nondeterminism analyzer defends: seeded runs must produce byte-identical
+// per-rank traffic counters AND a byte-identical checkpoint blob, at every
+// kernel worker count — the result is a function of the seed alone. This
+// is a stronger contract than TestRunDeterministic's physics counts — it
+// pins the exact communication structure (message and byte counts per
+// phase per rank) and the exact serialized world state, which
 // checkpoint/restart recovery and the commcost model both depend on.
 func TestReplayByteIdentical(t *testing.T) {
 	ref := testRefinement(t)
 	const nRanks = 4
 
-	run := func() (traffic []byte, checkpoint []byte) {
+	run := func(workers int) (traffic []byte, checkpoint []byte) {
 		cfg := testConfig(ref)
 		cfg.Steps = 8
+		cfg.Workers = workers
 		// Exercise the balancer path too: its control-plane collectives
 		// (timing allgather, weight allreduce, owner bcast) and the
 		// migration exchange all land in the counters.
@@ -72,16 +74,18 @@ func TestReplayByteIdentical(t *testing.T) {
 		return tb.Bytes(), cpBlob.Bytes()
 	}
 
-	traffic1, cp1 := run()
-	traffic2, cp2 := run()
-
-	if !bytes.Equal(traffic1, traffic2) {
-		t.Errorf("per-rank traffic counters differ between identical seeded runs:\nrun1:\n%srun2:\n%s", traffic1, traffic2)
-	}
+	// The reference leaves Workers unset, which defaults to one worker.
+	traffic1, cp1 := run(0)
 	if len(cp1) == 0 {
 		t.Fatal("no checkpoint captured")
 	}
-	if !bytes.Equal(cp1, cp2) {
-		t.Errorf("checkpoint blobs differ between identical seeded runs (%d vs %d bytes)", len(cp1), len(cp2))
+	for _, workers := range []int{1, 2, 4} {
+		traffic2, cp2 := run(workers)
+		if !bytes.Equal(traffic1, traffic2) {
+			t.Errorf("workers=%d: per-rank traffic counters differ from the reference run:\nreference:\n%sworkers=%d:\n%s", workers, traffic1, workers, traffic2)
+		}
+		if !bytes.Equal(cp1, cp2) {
+			t.Errorf("workers=%d: checkpoint blob differs from the reference run (%d vs %d bytes)", workers, len(cp1), len(cp2))
+		}
 	}
 }

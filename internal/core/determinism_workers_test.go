@@ -37,9 +37,10 @@ func runToCheckpoint(t *testing.T, workers int) []byte {
 }
 
 // TestReplayByteIdenticalWorkers extends the replay-determinism contract
-// to the multicore kernels: for a fixed (seed, workers) pair, two runs
-// must produce byte-identical checkpoints even though every particle
-// kernel fans out over 4 goroutines per rank.
+// to the multicore kernels: two seeded runs must produce byte-identical
+// checkpoints even though every particle kernel fans out over 4
+// goroutines per rank. TestReplayByteIdentical also pins them to the
+// one-worker result.
 func TestReplayByteIdenticalWorkers(t *testing.T) {
 	cp1 := runToCheckpoint(t, 4)
 	cp2 := runToCheckpoint(t, 4)
@@ -50,11 +51,11 @@ func TestReplayByteIdenticalWorkers(t *testing.T) {
 
 // TestWorkersDefaultEqualsOne pins the facade: an unset Workers field (the
 // zero value, defaulted to 1) must be bit-for-bit the explicit workers=1
-// serial path.
+// run.
 func TestWorkersDefaultEqualsOne(t *testing.T) {
 	unset := runToCheckpoint(t, 0)
 	one := runToCheckpoint(t, 1)
 	if !bytes.Equal(unset, one) {
-		t.Error("Workers unset differs from Workers=1: the default is not the legacy serial path")
+		t.Error("Workers unset differs from Workers=1")
 	}
 }

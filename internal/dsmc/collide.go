@@ -25,14 +25,33 @@ type Collider struct {
 
 	sigmaCrMax []float64 // per cell, adaptively updated
 
-	// Sweep scratch, reused across calls: dead flags for removals, per-chunk
-	// stats and RNG streams, and per-chunk creation buffers (dissociation
-	// products are buffered and appended after the sweep in chunk order so
-	// the store never mutates while workers read it).
-	dead       []bool
-	chunkStats []CollideStats
-	rngs       []rng.Rand
-	created    [][]particle.Particle
+	// Sweep state, reused across calls: the removal-flag buffer, per-chunk
+	// stats, RNG streams and creation lists, and the chunk body, bound once
+	// so that no sweep allocates a closure.
+	deadBuf []bool
+	chunks  []collideChunk
+	body    func(chunk, lo, hi int)
+	keep    func(i int) bool
+
+	// The current sweep's arguments, read by body. dead is nil unless the
+	// reaction model can remove particles.
+	st     *particle.Store
+	groups [][]int32
+	vols   []float64
+	dt     float64
+	ext    ExtendedReactionModel
+	dead   []bool
+	base   uint64
+}
+
+// collideChunk is the state private to one chunk of a sweep.
+type collideChunk struct {
+	stats CollideStats
+	rng   rng.Rand
+	// created buffers dissociation products, appended to the store after
+	// the sweep in chunk order so the store never grows while chunks read
+	// it.
+	created []particle.Particle
 }
 
 // NewCollider creates a collider for a mesh with numCells coarse cells.
@@ -91,30 +110,29 @@ func GroupByCell(st *particle.Store, numCells int, filter func(particle.Species)
 	return groups
 }
 
-// deadFor returns the dead-flag vector sized and zeroed for n particles,
-// growing the backing array only when the population outgrows it.
-func (co *Collider) deadFor(n int) []bool {
-	if cap(co.dead) < n {
-		co.dead = make([]bool, n)
+// prepare sizes the per-chunk state for w workers and, for models that
+// can remove particles, the removal flags for n particles; it binds the
+// chunk body on first use.
+func (co *Collider) prepare(n, w int) {
+	if co.body == nil {
+		co.body, co.keep = co.collideCells, co.alive
 	}
-	co.dead = co.dead[:n]
-	clear(co.dead)
-	return co.dead
+	co.dead = nil
+	if co.ext != nil {
+		if cap(co.deadBuf) < n {
+			co.deadBuf = make([]bool, n)
+		}
+		co.dead = co.deadBuf[:n]
+		clear(co.dead)
+	}
+	for len(co.chunks) < w {
+		co.chunks = append(co.chunks, collideChunk{})
+	}
 }
 
-// chunksFor sizes the per-chunk scratch (stats, RNG streams, creation
-// buffers) for w workers.
-func (co *Collider) chunksFor(w int) {
-	if cap(co.chunkStats) < w {
-		co.chunkStats = make([]CollideStats, w)
-		co.rngs = make([]rng.Rand, w)
-	}
-	co.chunkStats = co.chunkStats[:w]
-	co.rngs = co.rngs[:w]
-	for len(co.created) < w {
-		co.created = append(co.created, nil)
-	}
-}
+// alive keeps the particles no recombination removed; dissociation
+// products sit past the flags and survive.
+func (co *Collider) alive(i int) bool { return i >= len(co.dead) || !co.dead[i] }
 
 // Collide performs NTC collisions for every cell. groups lists particle
 // indices per cell (from GroupByCell), vols the cell volumes, dt the DSMC
@@ -124,72 +142,58 @@ func (co *Collider) chunksFor(w int) {
 // the sweep in cell order, and removals are compacted out of the store at
 // the end, preserving the order of survivors.
 //
-// pool parallelizes the sweep over deterministic contiguous blocks of
-// cells; nil (or a 1-worker pool) is the exact legacy serial sweep drawing
-// from r directly. With more workers, every cell draws from a private
-// stream derived by cell index from a single r.Uint64() draw, so replay
-// is byte-identical for a fixed (seed, workers) pair — and identical
-// across any workers > 1 — while workers=1 is bit-for-bit the legacy
-// serial run. Cells own disjoint particles (GroupByCell partitions by
-// cell), so all store writes are chunk-disjoint.
+// The sweep draws one base value from r, and every cell draws from a
+// stream keyed on (base, cell index). pool splits the cells into
+// contiguous blocks; cells own disjoint particles (GroupByCell partitions
+// by cell), so all store writes are chunk-disjoint, and the result is the
+// same, bit for bit, at every worker count (nil is one worker).
 //
 //commvet:hot
 func (co *Collider) Collide(st *particle.Store, groups [][]int32, vols []float64, dt float64, r *rng.Rand, pool *parallel.Pool) CollideStats {
+	w := pool.Workers()
+	co.ext, _ = co.Reactions.(ExtendedReactionModel)
+	co.prepare(st.Len(), w)
+	co.st, co.groups, co.vols, co.dt, co.base = st, groups, vols, dt, r.Uint64()
+	pool.Run(len(groups), co.body)
 	var stats CollideStats
-	ext, _ := co.Reactions.(ExtendedReactionModel)
-	var dead []bool
-	if ext != nil {
-		dead = co.deadFor(st.Len())
-	}
-	workers := pool.Workers()
-	co.chunksFor(workers)
-	if workers == 1 {
-		stats = co.collideCells(st, groups, 0, len(groups), vols, dt, ext, dead, &co.created[0], r, nil, 0)
-	} else {
-		base := r.Uint64()
-		// One dispatch closure per sweep (not per candidate); chunk bodies
-		// write disjoint state — store rows and dead flags by cell-owned
-		// particle index, stats/RNG/creation buffer by chunk index.
-		//commvet:ignore hotalloc once-per-sweep dispatch closure, outside the candidate loop
-		pool.Run(len(groups), func(chunk, lo, hi int) {
-			co.chunkStats[chunk] = co.collideCells(st, groups, lo, hi, vols, dt, ext, dead, &co.created[chunk], nil, &co.rngs[chunk], base)
-		})
-		for c := 0; c < workers; c++ {
-			cs := co.chunkStats[c]
-			stats.Candidates += cs.Candidates
-			stats.Collisions += cs.Collisions
-			stats.Reactions += cs.Reactions
-			stats.Created += cs.Created
-			stats.Removed += cs.Removed
-		}
-	}
-	// Append dissociation products in chunk order (serial: creation order),
-	// which reproduces the legacy mid-sweep append ordering exactly: created
-	// particles only ever land at the end of the store, and groups were
-	// built before the sweep so they never collide within it.
-	for w := 0; w < workers; w++ {
-		for _, p := range co.created[w] {
+	for c := range co.chunks[:w] {
+		ch := &co.chunks[c]
+		stats.add(ch.stats)
+		// Created particles only ever land at the end of the store, and
+		// groups were built before the sweep, so they never collide within
+		// it.
+		for _, p := range ch.created {
 			st.Append(p)
 		}
-		co.created[w] = co.created[w][:0]
+		ch.created = ch.created[:0]
 	}
+	// Drop the sweep's references: groups is rebuilt every step and must
+	// not stay reachable from the collider between sweeps.
+	co.st, co.groups, co.vols, co.ext = nil, nil, nil, nil
 	if stats.Removed > 0 {
-		// One closure per sweep (not per candidate); Filter's callback API
-		// requires it and the compaction itself dominates the cost.
-		//commvet:ignore hotalloc once-per-sweep compaction closure, outside the candidate loop
-		st.Filter(func(i int) bool { return i >= len(dead) || !dead[i] })
+		st.Filter(co.keep)
 	}
 	return stats
 }
 
-// collideCells runs the NTC loop for cells [lo, hi). Exactly one of r and
-// scratch is used: a non-nil r draws every cell from that one stream (the
-// legacy serial sequence); otherwise scratch is reseeded per cell from
-// (base, cell index), making each cell's draws independent of how cells
-// are distributed over workers.
+func (s *CollideStats) add(o CollideStats) {
+	s.Candidates += o.Candidates
+	s.Collisions += o.Collisions
+	s.Reactions += o.Reactions
+	s.Created += o.Created
+	s.Removed += o.Removed
+}
+
+// collideCells is the chunk body of Collide: it runs the NTC loop for
+// cells [lo, hi), reseeding the chunk's stream from (base, cell) at every
+// cell so each cell's draws are independent of how cells are distributed
+// over workers.
 //
 //commvet:hot
-func (co *Collider) collideCells(st *particle.Store, groups [][]int32, lo, hi int, vols []float64, dt float64, ext ExtendedReactionModel, dead []bool, created *[]particle.Particle, r *rng.Rand, scratch *rng.Rand, base uint64) CollideStats {
+func (co *Collider) collideCells(chunk, lo, hi int) {
+	ch := &co.chunks[chunk]
+	st, groups, vols, dt, ext, dead := co.st, co.groups, co.vols, co.dt, co.ext, co.dead
+	rr := &ch.rng
 	var stats CollideStats
 	for c := lo; c < hi; c++ {
 		grp := groups[c]
@@ -197,11 +201,7 @@ func (co *Collider) collideCells(st *particle.Store, groups [][]int32, lo, hi in
 		if n < 2 {
 			continue
 		}
-		rr := r
-		if rr == nil {
-			scratch.Reseed(base, uint64(c))
-			rr = scratch
-		}
+		rr.Reseed(co.base, uint64(c))
 		// NTC candidate count: 1/2 N (N-1) Fn (sigma cr)_max dt / Vc.
 		nf := float64(n)
 		mean := 0.5 * nf * (nf - 1) * co.Fn * co.sigmaCrMax[c] * dt / vols[c]
@@ -231,7 +231,7 @@ func (co *Collider) collideCells(st *particle.Store, groups [][]int32, lo, hi in
 			}
 			stats.Collisions++
 			if ext != nil {
-				reacted, madeN, removed := co.collidePairEx(st, int(i), int(j), ext, dead, created, rr)
+				reacted, madeN, removed := co.collidePairEx(st, int(i), int(j), ext, dead, &ch.created, rr)
 				if reacted {
 					stats.Reactions++
 				}
@@ -242,7 +242,7 @@ func (co *Collider) collideCells(st *particle.Store, groups [][]int32, lo, hi in
 			}
 		}
 	}
-	return stats
+	ch.stats = stats
 }
 
 // deadAt reports whether particle i has been removed by a recombination

@@ -217,11 +217,15 @@ func TestGroupByCell(t *testing.T) {
 	}
 }
 
+// TestCollideConservesMomentumEnergy: elastic VHS collisions conserve
+// momentum and energy to roundoff. About five particles per cell make
+// collisions structural (148-216 per sweep over seeds 0-49), so the
+// invariants are checked on many collisions, not on a lucky one.
 func TestCollideConservesMomentumEnergy(t *testing.T) {
 	m := boxMesh(t)
 	st := particle.NewStore(0)
 	r := rng.New(11, 0)
-	for k := 0; k < 200; k++ {
+	for k := 0; k < 2000; k++ {
 		p := geom.V(r.Float64(), r.Float64(), r.Float64())
 		vx, vy, vz := r.Maxwell(300, particle.HydrogenMass, 0, 0, 0)
 		addParticle(st, m, p, geom.V(vx, vy, vz), particle.H)
@@ -244,8 +248,8 @@ func TestCollideConservesMomentumEnergy(t *testing.T) {
 	co := NewCollider(m.NumCells(), 1e16, NoReactions{})
 	groups := GroupByCell(st, m.NumCells(), nil)
 	stats := co.Collide(st, groups, m.Volumes, 1e-5, r, nil)
-	if stats.Collisions == 0 {
-		t.Fatal("no collisions happened; increase Fn or dt")
+	if stats.Collisions < 50 {
+		t.Fatalf("only %d collisions; the fixture must collide structurally", stats.Collisions)
 	}
 	p1, e1 := momentum(), energy()
 	if geom.Dist(p0, p1) > 1e-9*p0.Norm()+1e-30 {

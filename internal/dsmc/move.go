@@ -51,53 +51,51 @@ type MoveStats struct {
 // exceeding it (degenerate geometry loops) are dropped and counted as Lost.
 const maxTraversalSteps = 10000
 
-// MoveScratch holds the caller-owned buffers a movement sweep reuses
-// across steps: the dead-flag vector (previously a fresh allocation every
-// sweep inside the hot function) and, for multi-worker pools, per-chunk
-// stats, RNG streams, and surface-sampler shards. The zero value is
-// ready; one scratch serves one rank (concurrent Move calls must not
-// share it).
+// MoveScratch holds the caller-owned state a movement sweep reuses across
+// steps: the dead-flag vector, per-chunk stats, RNG streams and wall-hit
+// lists, and the chunk body, bound once so that no sweep allocates a
+// closure. The zero value is ready; one scratch serves one rank
+// (concurrent Move calls must not share it).
 type MoveScratch struct {
-	dead  []bool
-	stats []MoveStats
-	rngs  []rng.Rand
-	// shards are per-chunk private samplers merged in chunk order after
-	// the sweep; rebuilt when the parent sampler changes between sweeps.
-	shards      []*SurfaceSampler
-	shardParent *SurfaceSampler
+	dead   []bool
+	chunks []moveChunk
+	body   func(chunk, lo, hi int)
+	keep   func(i int) bool
+
+	// The current sweep's arguments, read by body.
+	st     *particle.Store
+	m      *mesh.Mesh
+	dt     float64
+	wall   WallModel
+	filter func(particle.Species) bool
+	base   uint64
 }
 
-// deadFor returns the dead-flag vector sized and zeroed for n particles,
-// growing the backing array only when the population outgrows it.
-func (sc *MoveScratch) deadFor(n int) []bool {
+// moveChunk is the state private to one chunk of a sweep.
+type moveChunk struct {
+	stats MoveStats
+	rng   rng.Rand
+	// hits are the chunk's sampler contributions in particle order.
+	hits []wallHit
+}
+
+// prepare sizes the dead flags for n particles and the per-chunk state
+// for w workers, binding the chunk body on first use.
+func (sc *MoveScratch) prepare(n, w int) {
+	if sc.body == nil {
+		sc.body, sc.keep = sc.moveChunk, sc.alive
+	}
 	if cap(sc.dead) < n {
 		sc.dead = make([]bool, n)
 	}
 	sc.dead = sc.dead[:n]
 	clear(sc.dead)
-	return sc.dead
+	for len(sc.chunks) < w {
+		sc.chunks = append(sc.chunks, moveChunk{})
+	}
 }
 
-// chunksFor sizes the per-chunk state for w workers, (re)building the
-// sampler shards when the parent sampler changed.
-func (sc *MoveScratch) chunksFor(w int, sampler *SurfaceSampler) {
-	if cap(sc.stats) < w {
-		sc.stats = make([]MoveStats, w)
-		sc.rngs = make([]rng.Rand, w)
-	}
-	sc.stats = sc.stats[:w]
-	sc.rngs = sc.rngs[:w]
-	if sampler == nil {
-		return
-	}
-	if sc.shardParent != sampler || len(sc.shards) < w {
-		sc.shards = make([]*SurfaceSampler, w)
-		for c := range sc.shards {
-			sc.shards[c] = sampler.Shard()
-		}
-		sc.shardParent = sampler
-	}
-}
+func (sc *MoveScratch) alive(i int) bool { return !sc.dead[i] }
 
 // Move advances every particle in st by dt along straight lines (DSMC_Move
 // / PIC_Move geometry): particles cross cell faces, reflect off walls, and
@@ -106,14 +104,12 @@ func (sc *MoveScratch) chunksFor(w int, sampler *SurfaceSampler) {
 // does not satisfy filter are skipped (DSMC moves neutrals, PIC moves
 // charged particles — paper §III-B).
 //
-// pool parallelizes the sweep over deterministic contiguous chunks of the
-// particle index range; nil (or a 1-worker pool) is the exact legacy
-// serial sweep drawing from r directly. With more workers, each chunk
-// draws from a private stream derived by chunk index from a single
-// r.Uint64() draw, and per-chunk stats and surface samples are merged in
-// chunk order after the sweep — so replay is byte-identical for a fixed
-// (seed, workers) pair, and workers=1 is bit-for-bit the legacy serial
-// run.
+// The sweep draws one base value from r; a particle's diffuse-wall draws
+// come from a stream keyed on (base, particle index), seeded at its first
+// wall hit. pool splits the particle index range into chunks, and each
+// chunk's stats and surface samples are applied in chunk order — particle
+// order — after the sweep. The result is therefore the same, bit for bit,
+// at every worker count (nil is one worker).
 //
 // sc holds caller-owned buffers reused across sweeps; nil allocates a
 // temporary (fine for tests, wasteful in the step loop).
@@ -126,75 +122,66 @@ func Move(st *particle.Store, m *mesh.Mesh, dt float64, wall WallModel, filter f
 	if sc == nil {
 		sc = &MoveScratch{}
 	}
-	n := st.Len()
-	dead := sc.deadFor(n)
+	n, w := st.Len(), pool.Workers()
+	sc.prepare(n, w)
+	sc.st, sc.m, sc.dt, sc.wall, sc.filter, sc.base = st, m, dt, wall, filter, r.Uint64()
+	pool.Run(n, sc.body)
 	var stats MoveStats
-	if workers := pool.Workers(); workers == 1 {
-		stats = moveChunk(st, 0, n, m, dt, wall, filter, r, dead)
-	} else {
-		base := r.Uint64()
-		sc.chunksFor(workers, wall.Sampler)
-		// One dispatch closure per sweep (not per particle); chunk bodies
-		// write disjoint state — dead flags and store rows by particle
-		// index, stats/RNG/sampler shard by chunk index.
-		//commvet:ignore hotalloc once-per-sweep dispatch closure, outside the particle loop
-		pool.Run(n, func(chunk, lo, hi int) {
-			cw := wall
-			if wall.Sampler != nil {
-				cw.Sampler = sc.shards[chunk]
-			}
-			cr := &sc.rngs[chunk]
-			cr.Reseed(base, uint64(chunk))
-			sc.stats[chunk] = moveChunk(st, lo, hi, m, dt, cw, filter, cr, dead)
-		})
-		for c := 0; c < workers; c++ {
-			cs := sc.stats[c]
-			stats.Moved += cs.Moved
-			stats.Escaped += cs.Escaped
-			stats.WallHits += cs.WallHits
-			stats.Lost += cs.Lost
-			stats.Crossings += cs.Crossings
-			if wall.Sampler != nil {
-				wall.Sampler.Merge(sc.shards[c])
-			}
+	for c := range sc.chunks[:w] {
+		ch := &sc.chunks[c]
+		stats.add(ch.stats)
+		for _, h := range ch.hits {
+			wall.Sampler.apply(h)
 		}
+		ch.hits = ch.hits[:0]
 	}
+	sc.st, sc.m, sc.wall, sc.filter = nil, nil, WallModel{}, nil
 	if stats.Escaped+stats.Lost > 0 {
-		// One closure per sweep (not per particle); Filter's callback API
-		// requires it and the compaction itself dominates the cost.
-		//commvet:ignore hotalloc once-per-sweep compaction closure, outside the particle loop
-		st.Filter(func(i int) bool { return !dead[i] })
+		st.Filter(sc.keep)
 	}
 	return stats
 }
 
-// moveChunk advances the particles in [lo, hi), marking removals in dead.
-// It is the per-worker body of Move: every write is disjoint per particle
-// index, so chunks run concurrently without synchronization.
+func (s *MoveStats) add(o MoveStats) {
+	s.Moved += o.Moved
+	s.Escaped += o.Escaped
+	s.WallHits += o.WallHits
+	s.Lost += o.Lost
+	s.Crossings += o.Crossings
+}
+
+// moveChunk is the chunk body of Move: it advances the particles in
+// [lo, hi), marking removals in sc.dead. Every write is disjoint per
+// particle index or private to the chunk, so chunks run concurrently
+// without synchronization.
 //
 //commvet:hot
-func moveChunk(st *particle.Store, lo, hi int, m *mesh.Mesh, dt float64, wall WallModel, filter func(particle.Species) bool, r *rng.Rand, dead []bool) MoveStats {
+func (sc *MoveScratch) moveChunk(chunk, lo, hi int) {
+	ch := &sc.chunks[chunk]
+	st, m, dt, wall, filter, dead := sc.st, sc.m, sc.dt, sc.wall, sc.filter, sc.dead
 	var stats MoveStats
 	for i := lo; i < hi; i++ {
 		if filter != nil && !filter(st.Sp[i]) {
 			continue
 		}
 		stats.Moved++
-		alive := moveOne(st, i, m, dt, wall, r, &stats)
-		if !alive {
+		if !moveOne(st, i, m, dt, wall, sc.base, ch, &stats) {
 			dead[i] = true
 		}
 	}
-	return stats
+	ch.stats = stats
 }
 
-// moveOne advances particle i; returns false if it left the domain.
-func moveOne(st *particle.Store, i int, m *mesh.Mesh, dt float64, wall WallModel, r *rng.Rand, stats *MoveStats) bool {
+// moveOne advances particle i; returns false if it left the domain. Its
+// wall draws come from ch.rng, keyed on (base, i) at the first wall hit;
+// its sampler contributions go to ch.hits.
+func moveOne(st *particle.Store, i int, m *mesh.Mesh, dt float64, wall WallModel, base uint64, ch *moveChunk, stats *MoveStats) bool {
 	pos := st.Pos[i]
 	vel := st.Vel[i]
 	cell := int(st.Cell[i])
 	remaining := dt
 	info := particle.InfoOf(st.Sp[i])
+	seeded := false
 	for step := 0; step < maxTraversalSteps; step++ {
 		if remaining <= 0 {
 			break
@@ -221,15 +208,21 @@ func moveOne(st *particle.Store, i int, m *mesh.Mesh, dt float64, wall WallModel
 			return false
 		default: // Wall
 			stats.WallHits++
+			if !seeded {
+				ch.rng.Reseed(base, uint64(i))
+				seeded = true
+			}
 			normal := tet.FaceNormal(face) // outward
 			vIn := vel
-			vel = reflect(vel, normal, wall, info.Mass, r)
+			vel = reflect(vel, normal, wall, info.Mass, &ch.rng)
 			if wall.Sampler != nil {
 				w := 1.0
 				if wall.Weight != nil {
 					w = wall.Weight(st.Sp[i])
 				}
-				wall.Sampler.record(cell, face, st.Sp[i], w, vIn, vel)
+				if h, ok := wall.Sampler.hit(cell, face, st.Sp[i], w, vIn, vel); ok {
+					ch.hits = append(ch.hits, h)
+				}
 			}
 			// Nudge off the wall along the new velocity to escape the
 			// face plane.

@@ -3,6 +3,7 @@ package dsmc
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/plasma-hpc/dsmcpic/internal/geom"
@@ -53,9 +54,9 @@ func TestMoveWorkersSpecularBitwise(t *testing.T) {
 	}
 }
 
-// TestMoveWorkersOneEqualsSerial: a 1-worker pool must be bit-for-bit the
-// legacy serial path — same store bytes AND the same number of draws from
-// the caller's RNG stream (no base draw).
+// TestMoveWorkersOneEqualsSerial: a nil pool (no scratch) and a 1-worker
+// pool run the same sweep inline, so with a diffuse wall they must agree
+// bit for bit and leave the caller's stream in the same state.
 func TestMoveWorkersOneEqualsSerial(t *testing.T) {
 	m := boxMesh(t)
 	wall := WallModel{Kind: DiffuseWall, Temperature: 300}
@@ -71,9 +72,8 @@ func TestMoveWorkersOneEqualsSerial(t *testing.T) {
 	if !bytes.Equal(a.EncodeAll(), b.EncodeAll()) {
 		t.Error("1-worker pool store differs bitwise from nil-pool store")
 	}
-	// The caller's stream must be in the same state afterwards.
 	if ra.Uint64() != rb.Uint64() {
-		t.Error("1-worker pool consumed a different number of RNG draws than serial")
+		t.Error("1-worker pool consumed a different number of RNG draws than the nil pool")
 	}
 }
 
@@ -106,75 +106,101 @@ func TestMoveWorkersReplay(t *testing.T) {
 	}
 }
 
-// TestMoveWorkersSurfaceSampler: sampler shards merged in chunk order must
-// reproduce the serial sweep's integer hit counts exactly and its impulse
-// integrals up to float summation order.
+// workerCounts are the pool widths every kernel must agree across: one,
+// even, a power of two, and one that leaves uneven chunks.
+var workerCounts = []int{1, 2, 4, 7}
+
+// samplerBits encodes a sampler's accumulators bit for bit.
+func samplerBits(s *SurfaceSampler) []uint64 {
+	var bits []uint64
+	for i := range s.Impulse {
+		v := s.Impulse[i]
+		bits = append(bits, math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z),
+			math.Float64bits(s.Heat[i]), uint64(s.Hits[i]))
+	}
+	return bits
+}
+
+// TestMoveWorkersSurfaceSampler: with a diffuse wall (random re-emission)
+// and a surface sampler attached, every worker count must reproduce the
+// one-worker sweep bit for bit — store, stats, sampler accumulators — and
+// leave the caller's stream in the same state.
 func TestMoveWorkersSurfaceSampler(t *testing.T) {
 	m := boxMesh(t)
 	const dt = 2e-4
-	run := func(pool *parallel.Pool) *SurfaceSampler {
+	run := func(pool *parallel.Pool) ([]byte, MoveStats, []uint64, uint64) {
 		st := seedStore(t, m, 800, 73)
 		sampler := NewSurfaceSampler(m)
-		wall := WallModel{Kind: SpecularWall, Sampler: sampler}
+		wall := WallModel{Kind: DiffuseWall, Temperature: 300, Sampler: sampler}
+		r := rng.New(17, 0)
 		var sc MoveScratch
+		var stats MoveStats
 		for sweep := 0; sweep < 3; sweep++ {
-			Move(st, m, dt, wall, nil, rng.New(17, 0), pool, &sc)
+			stats.add(Move(st, m, dt, wall, nil, r, pool, &sc))
 		}
-		sampler.Advance(3 * dt)
-		return sampler
+		return st.EncodeAll(), stats, samplerBits(sampler), r.Uint64()
 	}
-	serial := run(nil)
-	par := run(parallel.New(4))
-	var hitsS, hitsP int64
-	for i := 0; i < serial.NumFaces(); i++ {
-		hitsS += serial.Hits[i]
-		hitsP += par.Hits[i]
-		if serial.Hits[i] != par.Hits[i] {
-			t.Fatalf("face %d hits: serial %d, workers=4 %d", i, serial.Hits[i], par.Hits[i])
-		}
-		ps, pp := serial.Pressure(i), par.Pressure(i)
-		if math.Abs(ps-pp) > 1e-9*math.Abs(ps)+1e-30 {
-			t.Errorf("face %d pressure: serial %v, workers=4 %v", i, ps, pp)
-		}
+	refStore, refStats, refSampler, refNext := run(nil)
+	if refStats.WallHits == 0 || refStats.Escaped != 0 {
+		t.Fatalf("fixture exercises no diffuse wall hits: %+v", refStats)
 	}
-	if hitsS == 0 {
-		t.Fatal("no wall hits sampled; test exercises nothing")
+	for _, workers := range workerCounts {
+		st, stats, sampler, next := run(parallel.New(workers))
+		if stats != refStats {
+			t.Errorf("workers=%d stats %+v, want %+v", workers, stats, refStats)
+		}
+		if !bytes.Equal(st, refStore) {
+			t.Errorf("workers=%d store differs bitwise", workers)
+		}
+		if !slices.Equal(sampler, refSampler) {
+			t.Errorf("workers=%d surface sampler differs bitwise", workers)
+		}
+		if next != refNext {
+			t.Errorf("workers=%d drew a different number of values from the caller's stream", workers)
+		}
 	}
 }
 
-// TestCollideWorkersReplay: the collision sweep at workers>1 derives one
-// RNG stream per cell, so (a) two runs from the same seed are
-// byte-identical, (b) the result is identical across any worker count > 1,
-// and (c) a 1-worker pool is bit-for-bit the nil-pool legacy sweep.
+// TestCollideWorkersReplay: every cell draws from a stream keyed on the
+// cell, and creations are appended in cell order, so with number-changing
+// chemistry (dissociations create particles, recombinations remove them)
+// every worker count reproduces the one-worker sweeps bit for bit.
 func TestCollideWorkersReplay(t *testing.T) {
 	m := boxMesh(t)
-	run := func(pool *parallel.Pool) ([]byte, CollideStats) {
-		st := seedStore(t, m, 1000, 79)
-		co := NewCollider(m.NumCells(), 1e16, DefaultHydrogenReactions())
+	run := func(pool *parallel.Pool) ([]byte, CollideStats, uint64) {
+		// H2 with fast H impactors dissociate; a cold H background
+		// recombines into H2.
+		st := chemStore(t, m, 400, 400, 79)
+		cold := rng.New(80, 0)
+		for k := 0; k < 3000; k++ {
+			p := geom.V(cold.Float64(), cold.Float64(), cold.Float64())
+			vx, vy, vz := cold.Maxwell(150, particle.HydrogenMass, 0, 0, 0)
+			addParticle(st, m, p, geom.V(vx, vy, vz), particle.H)
+		}
+		co := NewCollider(m.NumCells(), 1e16, DefaultNeutralChemistry())
 		r := rng.New(19, 2)
-		var stats CollideStats
+		var total CollideStats
 		for sweep := 0; sweep < 3; sweep++ {
 			groups := GroupByCell(st, m.NumCells(), nil)
-			stats = co.Collide(st, groups, m.Volumes, 1e-5, r, pool)
+			total.add(co.Collide(st, groups, m.Volumes, 1e-5, r, pool))
 		}
-		return st.EncodeAll(), stats
+		return st.EncodeAll(), total, r.Uint64()
 	}
-	serial, serialStats := run(nil)
-	one, oneStats := run(parallel.New(1))
-	if !bytes.Equal(serial, one) || serialStats != oneStats {
-		t.Error("1-worker pool Collide differs from nil-pool legacy sweep")
+	refStore, refStats, refNext := run(nil)
+	if refStats.Created == 0 || refStats.Removed == 0 {
+		t.Fatalf("fixture must both create and remove particles: %+v", refStats)
 	}
-	w4a, s4a := run(parallel.New(4))
-	w4b, s4b := run(parallel.New(4))
-	if !bytes.Equal(w4a, w4b) || s4a != s4b {
-		t.Error("workers=4 Collide replay not byte-identical")
-	}
-	w2, s2 := run(parallel.New(2))
-	if !bytes.Equal(w4a, w2) || s4a != s2 {
-		t.Error("per-cell streams must make Collide identical across worker counts > 1")
-	}
-	if serialStats.Collisions == 0 || s4a.Collisions == 0 {
-		t.Fatal("no collisions happened; test exercises nothing")
+	for _, workers := range workerCounts {
+		st, stats, next := run(parallel.New(workers))
+		if stats != refStats {
+			t.Errorf("workers=%d stats %+v, want %+v", workers, stats, refStats)
+		}
+		if !bytes.Equal(st, refStore) {
+			t.Errorf("workers=%d store differs bitwise", workers)
+		}
+		if next != refNext {
+			t.Errorf("workers=%d drew a different number of values from the caller's stream", workers)
+		}
 	}
 }
 

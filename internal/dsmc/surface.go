@@ -50,55 +50,35 @@ func NewSurfaceSampler(m *mesh.Mesh) *SurfaceSampler {
 // NumFaces returns the number of indexed wall faces.
 func (s *SurfaceSampler) NumFaces() int { return len(s.Area) }
 
-// record accumulates one wall interaction. weight is the species scaling
-// factor (1 if unused).
-func (s *SurfaceSampler) record(cell, face int, sp particle.Species, weight float64, vIn, vOut geom.Vec3) {
+// wallHit is one wall interaction's contribution to a sampled face.
+type wallHit struct {
+	face    int
+	impulse geom.Vec3
+	heat    float64
+}
+
+// hit returns the contribution of one wall interaction; weight is the
+// species scaling factor (1 if unused). ok is false for faces the sampler
+// does not index. hit only reads s, so concurrent movement chunks may call
+// it; apply adds the contributions in a fixed order afterwards.
+func (s *SurfaceSampler) hit(cell, face int, sp particle.Species, weight float64, vIn, vOut geom.Vec3) (h wallHit, ok bool) {
 	id, ok := s.faceID[int32(cell*4+face)]
 	if !ok {
-		return
+		return wallHit{}, false
 	}
 	mass := particle.InfoOf(sp).Mass * weight
-	s.Impulse[id] = s.Impulse[id].Add(vIn.Sub(vOut).Scale(mass))
-	s.Heat[id] += 0.5 * mass * (vIn.Norm2() - vOut.Norm2())
-	s.Hits[id]++
+	return wallHit{id, vIn.Sub(vOut).Scale(mass), 0.5 * mass * (vIn.Norm2() - vOut.Norm2())}, true
+}
+
+// apply accumulates one wall interaction into its face.
+func (s *SurfaceSampler) apply(h wallHit) {
+	s.Impulse[h.face] = s.Impulse[h.face].Add(h.impulse)
+	s.Heat[h.face] += h.heat
+	s.Hits[h.face]++
 }
 
 // Advance accumulates sampled physical time; call once per Move sweep.
 func (s *SurfaceSampler) Advance(dt float64) { s.SampledTime += dt }
-
-// Shard returns a private accumulator view of s for one worker of a
-// parallel movement sweep: geometry (mesh, face index, areas, normals,
-// centroids) is shared read-only with the parent, while Impulse, Heat and
-// Hits are fresh per-shard slices. Workers record into their shards
-// concurrently; Merge folds them back into the parent in worker-index
-// order, keeping the float accumulation order — and therefore the bits —
-// a pure function of (seed, workers).
-func (s *SurfaceSampler) Shard() *SurfaceSampler {
-	return &SurfaceSampler{
-		mesh:     s.mesh,
-		faceID:   s.faceID,
-		Area:     s.Area,
-		Normal:   s.Normal,
-		Centroid: s.Centroid,
-		Impulse:  make([]geom.Vec3, len(s.Impulse)),
-		Heat:     make([]float64, len(s.Heat)),
-		Hits:     make([]int64, len(s.Hits)),
-	}
-}
-
-// Merge adds a shard's accumulators into s and zeroes the shard for
-// reuse. Callers merge shards in worker-index order so float sums stay
-// order-stable across replays.
-func (s *SurfaceSampler) Merge(sh *SurfaceSampler) {
-	for i := range s.Impulse {
-		s.Impulse[i] = s.Impulse[i].Add(sh.Impulse[i])
-		s.Heat[i] += sh.Heat[i]
-		s.Hits[i] += sh.Hits[i]
-		sh.Impulse[i] = geom.Vec3{}
-		sh.Heat[i] = 0
-		sh.Hits[i] = 0
-	}
-}
 
 // Pressure returns the time-averaged normal pressure (Pa) on face i:
 // the normal component of the accumulated impulse per area per time.

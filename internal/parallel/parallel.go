@@ -1,28 +1,25 @@
 // Package parallel provides the per-rank worker pool behind the hot
 // particle kernels (dsmc.Move, Collider.Collide, pic.DepositCharge,
 // pic.BorisPush). Ranks are goroutines already; this pool adds *intra-rank*
-// multicore parallelism without giving up the byte-identical-replay
-// contract the solver's deterministic packages guarantee.
+// multicore parallelism that changes wall time only: a kernel's output is
+// a pure function of its inputs and the seed, whatever the worker count.
 //
-// Determinism comes from fixed work decomposition, not from scheduling:
 // Run partitions an index range [0, n) into exactly Workers() contiguous
 // chunks whose boundaries depend only on (n, workers) — never on timing,
-// goroutine interleaving, or host load. Kernels keep their sweeps
-// replayable on top of that by
+// goroutine interleaving, or host load. Kernels keep their output
+// independent of that decomposition by
 //
-//   - deriving per-chunk RNG streams from the rank RNG by chunk index
-//     (rng.Rand.Reseed), so random draws are a pure function of
-//     (seed, workers, chunk);
-//   - accumulating floats into per-worker scratch reduced in worker-index
-//     order (keyed accumulation), so sums are order-stable;
-//   - emitting side effects (particle creation, surface samples) into
-//     per-worker buffers merged in worker-index order after the sweep.
+//   - keying RNG streams on the unit of work (a particle, a cell) rather
+//     than on the chunk (rng.Rand.Reseed from one per-sweep base draw);
+//   - writing results that must be summed or appended into per-chunk
+//     lists and applying them serially in chunk order, which is index
+//     order: the float summation order, and so the bits, are those of a
+//     single sweep over [0, n).
 //
 // A nil *Pool and a 1-worker pool both run the kernel inline on the
-// calling goroutine with a single chunk covering [0, n) — the exact
-// legacy serial path, with zero dispatch overhead and zero extra RNG
-// draws. Replay is therefore byte-identical for a fixed (seed, workers)
-// pair, and workers=1 is bit-for-bit the serial solver.
+// calling goroutine with a single chunk covering [0, n), with no dispatch
+// overhead. Replay is therefore byte-identical for a fixed seed at every
+// worker count.
 package parallel
 
 import "sync"
@@ -64,11 +61,11 @@ func Bounds(n, w, c int) (lo, hi int) {
 // fn(chunk, lo, hi) for each, concurrently when the pool has more than
 // one worker. It returns when every chunk has completed. With one worker
 // (or a nil pool) fn is invoked inline as fn(0, 0, n) — no goroutines,
-// no synchronization, the exact serial path.
+// no synchronization.
 //
 // fn is called exactly once per chunk index in [0, Workers()), including
-// empty chunks, so per-chunk state (RNG streams, scratch rows) stays
-// aligned with chunk indices regardless of n.
+// empty chunks, so every chunk's per-sweep state (stats, result lists) is
+// rewritten each sweep regardless of n.
 func (p *Pool) Run(n int, fn func(chunk, lo, hi int)) {
 	w := p.Workers()
 	if w == 1 {

@@ -72,7 +72,7 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 }
 
 // TestRunEmptyChunksStillFire pins that every chunk index fires even when
-// n < workers, so per-chunk RNG streams stay aligned with chunk indices.
+// n < workers, so no chunk's per-sweep state goes stale.
 func TestRunEmptyChunksStillFire(t *testing.T) {
 	p := New(8)
 	seen := make([]atomic.Bool, 8)

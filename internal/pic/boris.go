@@ -19,7 +19,7 @@ import (
 // sweep over deterministic contiguous chunks of the particle index range;
 // the kernel draws no random numbers and every write is disjoint per
 // particle index, so the result is bit-identical for every worker count
-// (including the legacy serial path).
+// (one worker included).
 //
 //commvet:hot
 func BorisPush(st *particle.Store, e []geom.Vec3, fineCell []int32, b geom.Vec3, dt float64, pool *parallel.Pool) {

@@ -6,28 +6,28 @@ import (
 	"github.com/plasma-hpc/dsmcpic/internal/particle"
 )
 
-// DepositScratch holds the per-worker nodal accumulation vectors a
-// parallel deposition sweep reuses across steps. The zero value is ready;
-// one scratch serves one rank (concurrent DepositCharge calls must not
-// share it).
+// DepositScratch holds the state a deposition sweep reuses across steps:
+// per-chunk lists of charge contributions and the chunk body, bound once
+// so that no sweep allocates a closure. The zero value is ready; one
+// scratch serves one rank (concurrent DepositCharge calls must not share
+// it).
 type DepositScratch struct {
-	node [][]float64
+	chunks [][]contribution
+	body   func(chunk, lo, hi int)
+
+	// The current sweep's arguments, read by body.
+	st       *particle.Store
+	ref      *mesh.Refinement
+	fineCell []int32
+	charged  [particle.NumSpecies]bool
+	qTab     [particle.NumSpecies]float64
 }
 
-// nodesFor returns w zeroed per-worker node vectors of length n, growing
-// backing arrays only when the grid or worker count outgrows them.
-func (sc *DepositScratch) nodesFor(w, n int) [][]float64 {
-	for len(sc.node) < w {
-		sc.node = append(sc.node, nil)
-	}
-	for c := 0; c < w; c++ {
-		if cap(sc.node[c]) < n {
-			sc.node[c] = make([]float64, n)
-		}
-		sc.node[c] = sc.node[c][:n]
-		clear(sc.node[c])
-	}
-	return sc.node[:w]
+// contribution is one particle's charge share q·wᵢ for each of the four
+// nodes of its fine cell.
+type contribution struct {
+	node [4]int32
+	q    [4]float64
 }
 
 // DepositCharge interpolates the charge of every charged particle in st to
@@ -50,67 +50,72 @@ func (sc *DepositScratch) nodesFor(w, n int) [][]float64 {
 // The nodeCharge slice must have length fine.NumNodes(); it is accumulated
 // into (callers zero it per timestep).
 //
-// pool parallelizes the sweep over deterministic contiguous chunks of the
-// particle index range; nil (or a 1-worker pool) deposits directly into
-// nodeCharge in particle order — bit-for-bit the legacy serial sweep.
-// With more workers, each chunk accumulates into its own scratch vector
-// from sc and the vectors are reduced into nodeCharge node-by-node in
-// worker-index order (a keyed reduction), so the float summation order —
-// and therefore the bits — is a pure function of the worker count.
+// pool splits the particle index range into chunks that locate their
+// particles and compute the four contributions into per-chunk lists; the
+// lists are then added into nodeCharge serially in chunk order, which is
+// particle order. The float summation order, and so the bits, are the same
+// at every worker count (nil is one worker).
+//
+// sc holds caller-owned buffers reused across sweeps; nil allocates a
+// temporary.
 //
 //commvet:hot
 func DepositCharge(st *particle.Store, ref *mesh.Refinement, weight func(particle.Species) float64, nodeCharge []float64, fineCell []int32, pool *parallel.Pool, sc *DepositScratch) {
+	if sc == nil {
+		sc = &DepositScratch{}
+	}
+	w := pool.Workers()
+	sc.prepare(w)
 	// Per-species tables, built once per sweep: hoists the weight() and
 	// InfoOf() indirections out of the particle loop.
-	var charged [particle.NumSpecies]bool
-	var qTab [particle.NumSpecies]float64
 	for sp := particle.Species(0); sp < particle.NumSpecies; sp++ {
-		if !sp.IsCharged() {
-			continue
+		sc.charged[sp] = sp.IsCharged()
+		if sc.charged[sp] {
+			sc.qTab[sp] = particle.InfoOf(sp).Charge * weight(sp)
 		}
-		charged[sp] = true
-		qTab[sp] = particle.InfoOf(sp).Charge * weight(sp)
 	}
-	n := st.Len()
-	if workers := pool.Workers(); workers == 1 {
-		depositChunk(st, 0, n, ref, &charged, &qTab, nodeCharge, fineCell)
-	} else {
-		if sc == nil {
-			sc = &DepositScratch{}
+	sc.st, sc.ref, sc.fineCell = st, ref, fineCell
+	pool.Run(st.Len(), sc.body)
+	for _, list := range sc.chunks[:w] {
+		for _, c := range list {
+			nodeCharge[c.node[0]] += c.q[0]
+			nodeCharge[c.node[1]] += c.q[1]
+			nodeCharge[c.node[2]] += c.q[2]
+			nodeCharge[c.node[3]] += c.q[3]
 		}
-		shards := sc.nodesFor(workers, len(nodeCharge))
-		// One dispatch closure per sweep (not per particle); chunk bodies
-		// write disjoint state — fineCell by particle index, the nodal
-		// accumulator by chunk index.
-		//commvet:ignore hotalloc once-per-sweep dispatch closure, outside the particle loop
-		pool.Run(n, func(chunk, lo, hi int) {
-			depositChunk(st, lo, hi, ref, &charged, &qTab, shards[chunk], fineCell)
-		})
-		// Keyed reduction: each worker owns a disjoint node range and folds
-		// every shard's contribution in worker-index order, keeping the
-		// float accumulation order fixed for a given worker count.
-		//commvet:ignore hotalloc once-per-sweep reduction closure, outside the node loop
-		pool.Run(len(nodeCharge), func(chunk, lo, hi int) {
-			for w := 0; w < workers; w++ {
-				shard := shards[w]
-				for k := lo; k < hi; k++ {
-					nodeCharge[k] += shard[k]
-				}
-			}
-		})
+	}
+	sc.st, sc.ref, sc.fineCell = nil, nil, nil
+}
+
+// prepare sizes the per-chunk lists for w workers, binding the chunk body
+// on first use.
+func (sc *DepositScratch) prepare(w int) {
+	if sc.body == nil {
+		sc.body = sc.depositChunk
+	}
+	for len(sc.chunks) < w {
+		sc.chunks = append(sc.chunks, nil)
 	}
 }
 
-// depositChunk deposits particles [lo, hi) into nodeCharge. It is the
-// per-worker body of DepositCharge: fineCell writes are disjoint per
-// particle index and nodeCharge is private to the worker (or the caller's,
-// in the serial path).
+// depositChunk is the chunk body of DepositCharge: it locates particles
+// [lo, hi) and lists their contributions. fineCell writes are disjoint per
+// particle index and the list is private to the chunk.
 //
 //commvet:hot
-func depositChunk(st *particle.Store, lo, hi int, ref *mesh.Refinement, charged *[particle.NumSpecies]bool, qTab *[particle.NumSpecies]float64, nodeCharge []float64, fineCell []int32) {
+func (sc *DepositScratch) depositChunk(chunk, lo, hi int) {
+	st, ref, fineCell := sc.st, sc.ref, sc.fineCell
+	charged := 0
+	for _, sp := range st.Sp[lo:hi] {
+		if sc.charged[sp] {
+			charged++
+		}
+	}
+	list := sc.listFor(chunk, charged)
+	k := 0
 	for i := lo; i < hi; i++ {
 		sp := st.Sp[i]
-		if !charged[sp] {
+		if !sc.charged[sp] {
 			if fineCell != nil {
 				fineCell[i] = -1
 			}
@@ -123,7 +128,7 @@ func depositChunk(st *particle.Store, lo, hi int, ref *mesh.Refinement, charged 
 		if fc < 0 {
 			continue
 		}
-		q := qTab[sp]
+		q := sc.qTab[sp]
 		w := ref.Fine.Tet(fc).Barycentric(st.Pos[i])
 		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
 		clipped := false
@@ -142,7 +147,7 @@ func depositChunk(st *particle.Store, lo, hi int, ref *mesh.Refinement, charged 
 		if clipped {
 			// Renormalize after clipping boundary jitter so the particle
 			// still deposits exactly its full charge q (interior particles
-			// never clip and skip this, keeping their legacy bits).
+			// never clip and skip this, keeping their unclipped bits).
 			sum := w0 + w1 + w2 + w3
 			if sum <= 0 {
 				continue // degenerate: all weights clipped away
@@ -153,12 +158,20 @@ func depositChunk(st *particle.Store, lo, hi int, ref *mesh.Refinement, charged 
 			w2 *= inv
 			w3 *= inv
 		}
-		cell := ref.Fine.Cells[fc]
-		nodeCharge[cell[0]] += q * w0
-		nodeCharge[cell[1]] += q * w1
-		nodeCharge[cell[2]] += q * w2
-		nodeCharge[cell[3]] += q * w3
+		list[k] = contribution{node: ref.Fine.Cells[fc], q: [4]float64{q * w0, q * w1, q * w2, q * w3}}
+		k++
 	}
+	sc.chunks[chunk] = list[:k]
+}
+
+// listFor returns chunk's contribution list with room for n entries. The
+// backing array grows with a quarter of headroom, so a slowly growing
+// population reallocates it only now and then.
+func (sc *DepositScratch) listFor(chunk, n int) []contribution {
+	if cap(sc.chunks[chunk]) < n {
+		sc.chunks[chunk] = make([]contribution, n, n+n/4)
+	}
+	return sc.chunks[chunk][:n]
 }
 
 // TotalCharge sums a nodal charge vector (diagnostic; deposition conserves

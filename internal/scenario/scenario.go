@@ -8,7 +8,7 @@
 // A Spec is also the plasmad job description. Its normalized JSON encoding
 // is hashed into the canonical cache key (Key), and caching is sound
 // because a run is a pure function of that spec: the solver replays
-// byte-identically for a fixed (config, seed).
+// byte-identically for a fixed (config, seed), at any kernel worker count.
 package scenario
 
 import (
@@ -36,8 +36,9 @@ const MaxSpecBytes = 1 << 20
 // "steps":3}) is valid; boolean knobs are spelled in their "No" form for
 // the same reason (zero value = feature on, matching the CLI defaults).
 //
-// Priority orders the daemon's queue only; it is deliberately excluded
-// from the cache key, because it cannot affect the result.
+// Priority orders the daemon's queue and SimWorkers sets how many cores a
+// run uses; both are deliberately excluded from the cache key, because
+// neither can affect the result.
 type Spec struct {
 	// Geometry: a cylindrical nozzle ("nozzle", the default) or a conical
 	// one ("conical", radius varying linearly to OutletRadius).
@@ -53,9 +54,9 @@ type Spec struct {
 	Steps int    `json:"steps,omitempty"` // DSMC steps (default 8)
 	Seed  uint64 `json:"seed,omitempty"`  // drives every stochastic element
 	// SimWorkers is the per-rank worker count inside the particle kernels
-	// (core.Config.Workers; default 1, the serial path). It joins the cache
-	// key: different worker counts are different — each individually
-	// deterministic — stochastic trajectories, so their results may differ.
+	// (core.Config.Workers; default 1). It changes wall time only, so it is
+	// not part of the cache key: a spec at any worker count hits the
+	// result of the same spec at another.
 	SimWorkers int `json:"sim_workers,omitempty"`
 	// SnapshotEvery captures one field-snapshot frame (phi, density,
 	// temperature; see core.FieldFrame) every N steps, streamed on
@@ -191,12 +192,12 @@ func (s Spec) Normalized() (Spec, error) {
 // Key returns the canonical cache key of a normalized spec: the SHA-256
 // of its canonical JSON encoding, hex encoded. Canonical here means: the
 // spec has been through Normalized (all defaults concrete, irrelevant
-// fields zeroed) and Priority — which cannot affect the result — is
-// cleared. encoding/json emits struct fields in declaration order with a
+// fields zeroed) and Priority and SimWorkers — which cannot affect the
+// result — are cleared. encoding/json emits struct fields in declaration order with a
 // fixed number formatting, so equal normalized specs encode to equal
 // bytes.
 func (s Spec) Key() string {
-	s.Priority = 0
+	s.Priority, s.SimWorkers = 0, 0
 	blob, err := json.Marshal(s)
 	if err != nil {
 		// A Spec contains only scalars; Marshal cannot fail.

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -145,62 +147,87 @@ func TestRecoveryNoRequeue(t *testing.T) {
 }
 
 // TestRecoverySkipsRetiredExchangeDefault replays a journal written before
-// the "halo" Poisson mode was retired: a done job whose spec left
-// poisson_exchange unset (journaled in normalized form, so spelling the
-// old "halo" default, under the key that default produced) and a running
-// job that asked for "halo" explicitly. Reopening must not error, neither
-// job may be served or requeued, and resubmitting the first spec runs
-// fresh under its new key.
+// two key changes. First, the "halo" Poisson mode was retired: a done job
+// whose spec left poisson_exchange unset (journaled in normalized form, so
+// spelling the old "halo" default, under the key that default produced)
+// and a running job that asked for "halo" explicitly. Second, sim_workers
+// left the key when the kernels' draws changed once to make results
+// independent of the worker count: a done job journaled under the key
+// that still hashed sim_workers. Reopening must not error, no job may be
+// served or requeued, and resubmitting each done spec runs fresh under
+// its new key.
 func TestRecoverySkipsRetiredExchangeDefault(t *testing.T) {
 	fs := store.NewMemFS()
 	st, _ := openTestStore(t, fs)
-	journalOld := func(id string, seed uint64, state string) string {
-		norm, err := testSpec(seed).Normalized()
-		if err != nil {
-			t.Fatal(err)
-		}
-		norm.PoissonExchange = "halo" // what the old normalization wrote
+	journal := func(id string, norm JobSpec, key, state string) {
 		blob, _ := json.Marshal(norm)
-		key := norm.Key()
 		st.RecordAdmit(id, key, blob)
 		if state == "done" {
 			st.PutResult(key, []byte(`{"stale":true}`))
 		}
 		st.RecordState(id, state, "", "")
-		return key
 	}
-	oldKey := journalOld("j-1", 31, "done")
-	journalOld("j-2", 32, "running")
+	normalized := func(seed uint64) JobSpec {
+		norm, err := testSpec(seed).Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return norm
+	}
+	halo := func(seed uint64) (JobSpec, string) {
+		norm := normalized(seed)
+		norm.PoissonExchange = "halo" // what the old normalization wrote
+		return norm, norm.Key()
+	}
+	// workersKeyed is the key before sim_workers left it: the hash of the
+	// normalized spec with only Priority cleared.
+	workersKeyed := func(seed uint64) (JobSpec, string) {
+		norm := normalized(seed)
+		blob, _ := json.Marshal(norm)
+		sum := sha256.Sum256(blob)
+		return norm, hex.EncodeToString(sum[:])
+	}
+	oldKeys := map[uint64]string{}
+	norm, key := halo(31)
+	journal("j-1", norm, key, "done")
+	oldKeys[31] = key
+	norm, key = halo(32)
+	journal("j-2", norm, key, "running")
+	norm, key = workersKeyed(33)
+	journal("j-3", norm, key, "done")
+	oldKeys[33] = key
 	st.Close()
 	fs.Crash()
 
 	st2, rep := openTestStore(t, fs)
-	if len(rep.Jobs) != 2 {
-		t.Fatalf("recovery report lists %d jobs, want both old records", len(rep.Jobs))
+	if len(rep.Jobs) != 3 {
+		t.Fatalf("recovery report lists %d jobs, want all three old records", len(rep.Jobs))
 	}
 	srv := NewServer(Options{Workers: 1, Store: st2, Recovered: rep})
 	defer srv.Drain(5 * time.Second)
-	for _, id := range []string{"j-1", "j-2"} {
+	for _, id := range []string{"j-1", "j-2", "j-3"} {
 		if _, err := srv.Get(id); err == nil {
-			t.Errorf("retired-mode job %s was recovered", id)
+			t.Errorf("job %s under a retired key was recovered", id)
 		}
 	}
 
-	out, err := srv.Submit(testSpec(31))
-	if err != nil {
-		t.Fatal(err)
+	for _, seed := range []uint64{31, 33} {
+		out, err := srv.Submit(testSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.CacheHit || out.Coalesced {
+			t.Fatalf("seed %d resubmission was served from the retired entry: %+v", seed, out)
+		}
+		if out.Job.Key == oldKeys[seed] || out.Job.Spec.PoissonExchange != "owner" {
+			t.Fatalf("seed %d resubmission runs as %q under key %s (old key %s)", seed, out.Job.Spec.PoissonExchange, out.Job.Key, oldKeys[seed])
+		}
+		if state := waitTerminal(t, out.Job); state != StateDone {
+			t.Fatalf("seed %d fresh run ended %s", seed, state)
+		}
 	}
-	if out.CacheHit || out.Coalesced {
-		t.Fatalf("resubmission was served from the retired entry: %+v", out)
-	}
-	if out.Job.Key == oldKey || out.Job.Spec.PoissonExchange != "owner" {
-		t.Fatalf("resubmission runs as %q under key %s (old key %s)", out.Job.Spec.PoissonExchange, out.Job.Key, oldKey)
-	}
-	if state := waitTerminal(t, out.Job); state != StateDone {
-		t.Fatalf("fresh run ended %s", state)
-	}
-	if n := srv.WorldsBuilt(); n != 1 {
-		t.Fatalf("built %d worlds, want only the fresh run", n)
+	if n := srv.WorldsBuilt(); n != 2 {
+		t.Fatalf("built %d worlds, want only the two fresh runs", n)
 	}
 }
 

@@ -221,6 +221,47 @@ func TestCacheDeterminism(t *testing.T) {
 	}
 }
 
+// TestCacheHitAcrossSimWorkers: the kernel worker count changes wall time
+// only, so the same spec at sim_workers 4 is a cache hit on the result of
+// sim_workers 1 — and a cold run at 4 on another server computes the same
+// bytes the hit serves.
+func TestCacheHitAcrossSimWorkers(t *testing.T) {
+	run := func(s *Server, workers int) SubmitOutcome {
+		t.Helper()
+		spec := testSpec(8)
+		spec.SimWorkers = workers
+		out, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, out.Job); st != StateDone {
+			t.Fatalf("sim_workers=%d run finished %s", workers, st)
+		}
+		return out
+	}
+	s := NewServer(Options{Workers: 1})
+	defer s.Drain(time.Second)
+	one := run(s, 1)
+	first := append([]byte(nil), one.Job.result()...)
+	four := run(s, 4)
+	if !four.CacheHit || four.Job.ID != one.Job.ID {
+		t.Fatalf("sim_workers=4 was not a cache hit on the sim_workers=1 job: %+v", four)
+	}
+	if !bytes.Equal(four.Job.result(), first) {
+		t.Fatal("cache hit served different result bytes")
+	}
+	if n := s.WorldsBuilt(); n != 1 {
+		t.Fatalf("built %d worlds, want 1", n)
+	}
+
+	cold := NewServer(Options{Workers: 1})
+	defer cold.Drain(time.Second)
+	fresh := run(cold, 4)
+	if fresh.CacheHit || !bytes.Equal(fresh.Job.result(), first) {
+		t.Fatal("a cold sim_workers=4 run computed different result bytes than sim_workers=1")
+	}
+}
+
 // TestCoalescing pins singleflight: a duplicate of an in-flight submission
 // folds onto the same job instead of queueing a second execution.
 func TestCoalescing(t *testing.T) {

@@ -2,8 +2,9 @@
 # plasmad_smoke.sh — end-to-end smoke test of the serving daemon.
 #
 # Starts plasmad, submits a small plume job, polls it to completion,
-# re-submits the identical spec to prove the cache answers (HTTP 200,
-# cache_hit, no new world), checks /metrics, then SIGTERMs the daemon and
+# re-submits the identical spec, then the same spec at sim_workers=4, to
+# prove the cache answers both (HTTP 200, cache_hit, no new world, the
+# same result bytes), checks /metrics, then SIGTERMs the daemon and
 # asserts a clean drain (exit 0). Used by CI and `make plasmad-smoke`.
 #
 # Requirements: go toolchain, curl. No other dependencies.
@@ -79,32 +80,29 @@ case "$RESUB" in
 esac
 echo "cache hit confirmed"
 
-# Same plume with multicore kernels: sim_workers joins the cache key, so
-# this is a *different* job (202, fresh world), exercising the worker
-# pool end to end through the daemon.
+# Same plume with multicore kernels: sim_workers changes wall time only,
+# so it is not in the cache key and this is a cache hit (HTTP 200, same
+# job) whose /result is byte-identical to the serial run's.
 SPEC_W='{"mesh_nz":6,"ranks":2,"steps":3,"seed":7,"inject_h":400,"sim_workers":4}'
-RESP_W="$(curl -fsS -X POST -d "$SPEC_W" "$BASE/jobs")"
+CODE="$(curl -fsS -o /tmp/plasmad_resubmit.$$ -w '%{http_code}' -X POST -d "$SPEC_W" "$BASE/jobs")"
+RESP_W="$(cat /tmp/plasmad_resubmit.$$)"
+rm -f /tmp/plasmad_resubmit.$$
+[ "$CODE" = "200" ] || fail "sim_workers=4 submit returned HTTP $CODE, want a cache hit: $RESP_W"
+case "$RESP_W" in
+*'"cache_hit":true'*) ;;
+*) fail "sim_workers=4 spec was not a cache hit: $RESP_W" ;;
+esac
 JOB_W="$(printf '%s' "$RESP_W" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
-[ -n "$JOB_W" ] || fail "sim_workers submit had no job id: $RESP_W"
-[ "$JOB_W" != "$JOB_ID" ] || fail "sim_workers=4 spec hit the serial job's cache entry"
-i=0
-while :; do
-	ST="$(curl -fsS "$BASE/jobs/$JOB_W")"
-	case "$ST" in
-	*'"state":"done"'*) break ;;
-	*'"state":"failed"'* | *'"state":"canceled"'*) fail "sim_workers job ended badly: $ST" ;;
-	esac
-	i=$((i + 1))
-	[ "$i" -le 300 ] || fail "sim_workers job did not finish: $ST"
-	sleep 0.2
-done
-echo "sim_workers=4 job done"
+[ "$JOB_W" = "$JOB_ID" ] || fail "sim_workers=4 cache hit returned job $JOB_W, want $JOB_ID"
+RES_W="$(curl -fsS "$BASE/jobs/$JOB_W/result")"
+[ "$RES_W" = "$RES" ] || fail "sim_workers=4 result differs from the serial result: $RES_W vs $RES"
+echo "sim_workers=4 cache hit confirmed"
 
-# Metrics: two worlds built (serial + multicore) despite three submissions.
+# Metrics: one world built despite three submissions.
 METRICS="$(curl -fsS "$BASE/metrics")"
 echo "$METRICS" | grep -q '^plasmad_jobs_submitted 3$' || fail "metrics: want 3 submissions: $METRICS"
-echo "$METRICS" | grep -q '^plasmad_worlds_built 2$' || fail "metrics: want exactly 2 worlds built: $METRICS"
-echo "$METRICS" | grep -q '^plasmad_jobs_cache_hits 1$' || fail "metrics: want 1 cache hit: $METRICS"
+echo "$METRICS" | grep -q '^plasmad_worlds_built 1$' || fail "metrics: want exactly 1 world built: $METRICS"
+echo "$METRICS" | grep -q '^plasmad_jobs_cache_hits 2$' || fail "metrics: want 2 cache hits: $METRICS"
 
 # SIGTERM: the daemon must drain and exit 0 on its own.
 kill -TERM "$PID"
