@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,8 +68,8 @@ func main() {
 		faultRank   = flag.Int("fault-rank", -1, "inject a fault into this rank (-1 = none)")
 		faultSend   = flag.Int("fault-send", 0, "kill the victim at its Nth send (1-based)")
 		faultRecv   = flag.Int("fault-recv", 0, "kill the victim at its Nth recv (1-based)")
-		faultPhase  = flag.String("fault-phase", "", "kill the victim when it enters this phase (e.g. Poisson_Solve)")
-		faultPhaseN = flag.Int("fault-phase-n", 1, "which entry of -fault-phase fires the fault")
+		faultPhase  = flag.String("fault-phase", "", "kill the victim when it enters this step phase (e.g. Poisson_Solve; Rebalance needs -lb)")
+		faultPhaseN = flag.Int("fault-phase-n", 1, "which entry of -fault-phase fires the fault (a phase is entered once per step; PIC_Move, PIC_Exchange and Poisson_Solve once per PIC substep)")
 		faultDrop   = flag.Bool("fault-drop", false, "message-drop mode: victim silently drops sends instead of dying")
 		deadline    = flag.Duration("deadline", 0, "blocking-receive deadline before a deadlock is diagnosed (0 = simmpi default, 10m)")
 	)
@@ -190,17 +191,11 @@ func main() {
 		if *faultRank >= spec.Ranks {
 			fatal(fmt.Errorf("-fault-rank %d is outside the %d-rank world", *faultRank, spec.Ranks))
 		}
-		if *faultPhase != "" {
-			known := false
-			for _, comp := range core.Components {
-				if comp == *faultPhase {
-					known = true
-					break
-				}
-			}
-			if !known {
-				fatal(fmt.Errorf("-fault-phase %q is not a phase name; valid: %v", *faultPhase, core.Components))
-			}
+		if *faultPhase != "" && !slices.Contains(core.Components, *faultPhase) {
+			fatal(fmt.Errorf("-fault-phase %q is not a phase name; valid: %v", *faultPhase, core.Components))
+		}
+		if *faultPhase == core.CompRebalance && !*lb {
+			fatal(fmt.Errorf("-fault-phase %s never fires with -lb=false: the phase is not entered", core.CompRebalance))
 		}
 		fault = &simmpi.FaultPlan{
 			Rank:      *faultRank,
@@ -291,7 +286,7 @@ func main() {
 	fmt.Println("\nper-rank final particle counts:")
 	for r := range stats.Ranks {
 		fmt.Printf("  rank %3d: %8d particles, %6.3fs modeled\n",
-			r, stats.Ranks[r].FinalParticles, sumTimes(stats.Ranks[r].Times))
+			r, stats.Ranks[r].FinalParticles, core.Total(stats.Ranks[r].Times))
 		if r >= 15 && len(stats.Ranks) > 18 {
 			fmt.Printf("  ... (%d more ranks)\n", len(stats.Ranks)-r-1)
 			break
@@ -310,14 +305,6 @@ func writeTo(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	return err
-}
-
-func sumTimes(m map[string]float64) float64 {
-	var s float64
-	for _, v := range m {
-		s += v
-	}
-	return s
 }
 
 func fatal(err error) {

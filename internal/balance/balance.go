@@ -82,7 +82,8 @@ func DefaultConfig() Config {
 }
 
 // MigratePhase is the traffic-counter label of the rebalance's particle
-// migration (distinct from the "Rebalance" control-plane label).
+// migration, distinct from the caller's label, under which the
+// control-plane collectives run.
 const MigratePhase = "Rebalance_Migrate"
 
 // Balancer holds the replicated load-balancing state of one rank. All
@@ -130,11 +131,8 @@ type Result struct {
 // iteration with this rank's measured times and its particle store. When
 // the iteration counter reaches T and lii exceeds the threshold, the grid
 // is re-decomposed with the weighted load model, remapped with KM, and
-// particles migrate to their new owners.
+// particles migrate to their new owners. The caller labels the phase.
 func (b *Balancer) MaybeRebalance(comm *simmpi.Comm, st *particle.Store, times StepTimes) (Result, error) {
-	comm.SetPhase("Rebalance")
-	defer comm.SetPhase("")
-
 	// Gather every rank's times (3 floats) to evaluate lii globally.
 	all := comm.Allgatherv(simmpi.EncodeFloat64s([]float64{times.Total, times.Migration, times.Poisson}))
 	stepTimes := make([]StepTimes, comm.Size())
@@ -227,10 +225,12 @@ func (b *Balancer) MaybeRebalance(comm *simmpi.Comm, st *particle.Store, times S
 	// regular exchanges by the cost model), unlike the control-plane
 	// collectives above (timing allgather, weight allreduce, owner
 	// broadcast), which carry grid-sized data.
+	prev := comm.Phase()
 	comm.SetPhase(MigratePhase)
 	stats, err := exchange.Exchange(comm, st, func(i int) int {
 		return int(b.CellOwner[st.Cell[i]])
 	}, b.Cfg.Strategy)
+	comm.SetPhase(prev)
 	if err != nil {
 		return res, err
 	}

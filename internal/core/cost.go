@@ -9,6 +9,7 @@ package core
 import (
 	"sort"
 
+	"github.com/plasma-hpc/dsmcpic/internal/balance"
 	"github.com/plasma-hpc/dsmcpic/internal/commcost"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
@@ -38,10 +39,6 @@ const (
 	// to be active when the OnStep probe fired.
 	CompCheckpoint = "Checkpoint"
 )
-
-// rebalanceMigrate labels the rebalance's particle-migration traffic
-// (balance.MigratePhase); its cost folds into CompRebalance.
-const rebalanceMigrate = "Rebalance_Migrate"
 
 // Components lists all component names in workflow order.
 var Components = []string{
@@ -143,14 +140,8 @@ type Work struct {
 	Pushed        int64
 	CGIterations  int64
 	CGOwnedNNZ    int64 // nnz of owned rows (constant per solver); cost = iter * this
-	PackedBytes   map[string]int64
 	PartCells     int64 // cells partitioned during rebalances
 	KMRanks3      int64 // sum of ranks^3 over KM invocations
-}
-
-// NewWork returns an empty Work.
-func NewWork() *Work {
-	return &Work{PackedBytes: make(map[string]int64)}
 }
 
 // Add accumulates other into w.
@@ -169,9 +160,6 @@ func (w *Work) Add(other *Work) {
 	}
 	w.PartCells += other.PartCells
 	w.KMRanks3 += other.KMRanks3
-	for k, v := range other.PackedBytes {
-		w.PackedBytes[k] += v
-	}
 }
 
 // Times converts work counts plus per-phase traffic into modeled seconds
@@ -222,7 +210,7 @@ func (cm *CostModel) Times(w *Work, traffic, totals map[string]simmpi.PhaseStats
 	t := make(map[string]float64, len(Components))
 	t[CompInject] = float64(w.Injected) * sp * cm.Inject
 	t[CompDSMCMove] = float64(w.MoveStepsDSMC) * sp * cm.MoveStep
-	t[CompDSMCExchange] = float64(w.PackedBytes[CompDSMCExchange])*sm*cm.PackByte + migT(CompDSMCExchange)
+	t[CompDSMCExchange] = float64(traffic[CompDSMCExchange].Bytes)*sm*cm.PackByte + migT(CompDSMCExchange)
 	t[CompReindex] = float64(w.Reindexed)*sp*cm.Reindex + commT(CompReindex, 1)
 	t[CompColliReact] = float64(w.Candidates)*sp*cm.Candidate + float64(w.Collisions)*sp*cm.Collision
 	// Charge deposition and field gather are particle work (they scale
@@ -232,7 +220,7 @@ func (cm *CostModel) Times(w *Work, traffic, totals map[string]simmpi.PhaseStats
 	// structure (Table IV).
 	t[CompPICMove] = float64(w.MoveStepsPIC)*sp*cm.MoveStep + float64(w.Pushed)*sp*cm.Push +
 		float64(w.Deposited)*sp*cm.Deposit
-	t[CompPICExchange] = float64(w.PackedBytes[CompPICExchange])*sm*cm.PackByte + migT(CompPICExchange)
+	t[CompPICExchange] = float64(traffic[CompPICExchange].Bytes)*sm*cm.PackByte + migT(CompPICExchange)
 	// Poisson communication: the owner-local exchanges are
 	// neighbour-structured — every rank injects its boundary traffic
 	// concurrently — so the network sees the world-wide phase volume and
@@ -258,22 +246,27 @@ func (cm *CostModel) Times(w *Work, traffic, totals map[string]simmpi.PhaseStats
 	// migration (particle-scaled, like the regular exchanges).
 	t[CompRebalance] = float64(w.PartCells)*sg*cm.PartCell + float64(w.KMRanks3)*cm.KMCubeRank +
 		commT(CompRebalance, sg) +
-		float64(w.PackedBytes[rebalanceMigrate])*sm*cm.PackByte + migT(rebalanceMigrate)
+		float64(traffic[balance.MigratePhase].Bytes)*sm*cm.PackByte + migT(balance.MigratePhase)
 	return t
 }
 
-// Total sums a component-time map. Summation runs in sorted-key order:
-// float addition is order-sensitive in its last bits, and step totals feed
-// the lii balance decision, which must replay identically across runs
-// (map iteration order would differ — caught by commvet/nondeterminism).
+// sortedComponents is Components in sorted-name order, the order Total
+// sums in.
+var sortedComponents = func() []string {
+	c := append([]string(nil), Components...)
+	sort.Strings(c)
+	return c
+}()
+
+// Total sums the Components entries of a component-time map, modeled or
+// measured; other keys (the nested Deposit timer) are not part of the step
+// and are skipped. Summation runs in sorted-name order: float addition is
+// order-sensitive in its last bits, and step totals feed the lii balance
+// decision, which must replay identically across runs (map iteration order
+// would differ — caught by commvet/nondeterminism).
 func Total(times map[string]float64) float64 {
-	keys := make([]string, 0, len(times))
-	for k := range times {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var s float64
-	for _, k := range keys {
+	for _, k := range sortedComponents {
 		s += times[k]
 	}
 	return s

@@ -7,25 +7,37 @@ import (
 
 	"github.com/plasma-hpc/dsmcpic/internal/balance"
 	"github.com/plasma-hpc/dsmcpic/internal/metrics"
+	"github.com/plasma-hpc/dsmcpic/internal/pic"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
 
-// TestMetricsCoverEveryPhase runs the solver with a collector attached
-// and checks that every component of the step loop produced timer samples
-// on every rank, that the traffic counters mirror the simmpi deltas, and
+// TestMetricsCoverEveryPhase runs the solver with a collector attached,
+// in both Poisson modes, and checks that every component of the step loop
+// produced timer samples on every rank, that the phase ledger is complete
+// (the tx_ counters summed over the run equal the world's simmpi counter
+// totals), that the residual counter is the step's last residual, and
 // that both exporters emit parseable output for the run.
 func TestMetricsCoverEveryPhase(t *testing.T) {
+	for _, mode := range []pic.ExchangeMode{pic.ExchangeOwnerLocal, pic.ExchangeReplicated} {
+		t.Run(mode.String(), func(t *testing.T) { testMetricsCoverEveryPhase(t, mode) })
+	}
+}
+
+func testMetricsCoverEveryPhase(t *testing.T, mode pic.ExchangeMode) {
 	ref := testRefinement(t)
 	const nRanks = 4
 	cfg := testConfig(ref)
+	cfg.PoissonExchange = mode
 	lb := balance.DefaultConfig()
 	lb.T = 2
+	lb.Threshold = 1 // rebalance at every check, so migration traffic exists
 	cfg.LB = &lb
 	col := metrics.NewCollector(nRanks, nil)
 	cfg.Metrics = col
 
 	world := simmpi.NewWorld(nRanks, simmpi.Options{})
-	if _, err := Run(world, cfg); err != nil {
+	stats, err := Run(world, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,24 +52,50 @@ func TestMetricsCoverEveryPhase(t *testing.T) {
 		}
 	}
 
+	// Ledger rows and the simmpi labels each one owns: Poisson_Solve folds
+	// in its owner-local sub-labels, Rebalance_Migrate is a row of its own.
+	rows := map[string][]string{
+		CompDSMCExchange:     {CompDSMCExchange},
+		CompReindex:          {CompReindex},
+		CompPICExchange:      {CompPICExchange},
+		CompPoisson:          {CompPoisson, pic.PhasePoissonCharge, pic.PhasePoissonAssemble},
+		CompRebalance:        {CompRebalance},
+		balance.MigratePhase: {balance.MigratePhase},
+	}
 	for r := 0; r < nRanks; r++ {
 		steps := col.Rank(r).Steps()
 		if len(steps) != cfg.Steps {
 			t.Fatalf("rank %d recorded %d steps, want %d", r, len(steps), cfg.Steps)
 		}
-		// The metrics traffic counters are deltas off the same simmpi
-		// counter the cost model reads; summed over steps they must not
-		// exceed the counter's final phase totals (rebalance migration
-		// traffic is recorded under its own label).
-		var txDSMC int64
-		for _, sr := range steps {
-			txDSMC += sr.Counters["tx_bytes."+CompDSMCExchange]
+		for row, labels := range rows {
+			var want simmpi.PhaseStats
+			for _, l := range labels {
+				c := world.Counters()[r].Phase(l)
+				want.Messages += c.Messages
+				want.Bytes += c.Bytes
+			}
+			var msgs, bytes int64
+			for _, sr := range steps {
+				msgs += sr.Counters["tx_msgs."+row]
+				bytes += sr.Counters["tx_bytes."+row]
+			}
+			if msgs != want.Messages || bytes != want.Bytes {
+				t.Errorf("rank %d %s: ledger %d msgs / %d B, counters %d msgs / %d B",
+					r, row, msgs, bytes, want.Messages, want.Bytes)
+			}
+			if r == 0 && row != CompReindex && want.Messages == 0 {
+				t.Errorf("rank 0 %s: no traffic, the check is vacuous", row)
+			}
 		}
-		if want := world.Counters()[r].Phase(CompDSMCExchange).Bytes; txDSMC != want {
-			t.Errorf("rank %d: metrics DSMC_Exchange bytes %d != counter %d", r, txDSMC, want)
-		}
-		if steps[len(steps)-1].Counters["particles"] == 0 {
+		last := steps[len(steps)-1].Counters
+		if last["particles"] == 0 {
 			t.Errorf("rank %d: final particles counter is zero", r)
+		}
+		// Two PIC substeps per step: the residual is the last solve's, not
+		// a sum over the substeps.
+		res := stats.Ranks[r].PoissonResidual
+		if got, want := last[MetricPoissonResidualFemto], int64(res*1e15); got != want || want == 0 {
+			t.Errorf("rank %d: last step's %s = %d, want %d", r, MetricPoissonResidualFemto, got, want)
 		}
 	}
 

@@ -44,8 +44,11 @@ type Solver struct {
 	fineCell   []int32
 	rng        *rng.Rand
 	ownedNNZ   int64
-	prevPhase  map[string]simmpi.PhaseStats
 	inletFaces []inletFace
+
+	// ledger is this step's traffic per phase row, as s.phase books it;
+	// the cost model prices it and the tx_ counters report it.
+	ledger map[string]simmpi.PhaseStats
 
 	// pool is this rank's worker pool for the hot particle kernels
 	// (Config.Workers wide); the scratches below are its reusable
@@ -173,11 +176,10 @@ func NewSolver(cfg Config, shared *Shared, comm *simmpi.Comm) (*Solver, error) {
 		nodeCharge: make([]float64, shared.Ref.Fine.NumNodes()),
 		rng:        rng.New(cfg.Seed, uint64(comm.Rank())+1),
 		pool:       parallel.New(cfg.Workers),
-		prevPhase:  make(map[string]simmpi.PhaseStats),
+		ledger:     make(map[string]simmpi.PhaseStats),
 		mr:         cfg.Metrics.Rank(comm.Rank()),
 	}
 	s.Stats.Times = make(map[string]float64)
-	s.Stats.Work = *NewWork()
 	s.wall = cfg.Wall
 	if cfg.SampleSurfaces {
 		s.surf = dsmc.NewSurfaceSampler(shared.Ref.Coarse)
@@ -290,245 +292,178 @@ func (s *Solver) injectCount(globalBudget int) int {
 	return globalBudget * share / 1000
 }
 
-// phaseDelta returns the traffic this rank sent in the named phase since
-// the last call for that phase.
-func (s *Solver) phaseDelta(name string) simmpi.PhaseStats {
-	cur := s.Comm.Counter().Phase(name)
-	prev := s.prevPhase[name]
-	s.prevPhase[name] = cur
-	return simmpi.PhaseStats{
-		Messages: cur.Messages - prev.Messages,
-		Bytes:    cur.Bytes - prev.Bytes,
-		Local:    cur.Local - prev.Local,
+// labelRow books the traffic one simmpi label carries to one ledger row.
+type labelRow struct{ label, row string }
+
+// phaseLabels lists, for the phases that send under more simmpi labels
+// than their own name, every label and the ledger row it is booked to.
+// Owner-local Poisson's boundary exchanges fold into Poisson_Solve, so the
+// cost model sees the whole solve; the rebalance's particle migration is
+// priced like the regular exchanges, so it keeps a row of its own.
+var phaseLabels = map[string][]labelRow{
+	CompPoisson: {
+		{CompPoisson, CompPoisson},
+		{pic.PhasePoissonCharge, CompPoisson},
+		{pic.PhasePoissonAssemble, CompPoisson},
+	},
+	CompRebalance: {
+		{CompRebalance, CompRebalance},
+		{balance.MigratePhase, balance.MigratePhase},
+	},
+}
+
+// phase runs body as the named step phase, the one place a phase is
+// accounted for: it labels the body's simmpi traffic with name, times the
+// body on the metrics registry, clears the label, and adds the traffic the
+// body sent to the step's ledger (s.ledger) as phaseLabels books it.
+func (s *Solver) phase(name string, body func() error) error {
+	rows := phaseLabels[name]
+	if rows == nil {
+		rows = []labelRow{{name, name}}
 	}
+	// Subtracting the counters before the body and adding them after it
+	// books exactly the body's traffic.
+	cnt := s.Comm.Counter()
+	book := func(sign int64) {
+		for _, r := range rows {
+			cur, e := cnt.Phase(r.label), s.ledger[r.row]
+			e.Messages += sign * cur.Messages
+			e.Bytes += sign * cur.Bytes
+			e.Local += sign * cur.Local
+			s.ledger[r.row] = e
+		}
+	}
+	book(-1)
+	stop := s.mr.Time(name)
+	s.Comm.SetPhase(name)
+	err := body()
+	s.Comm.SetPhase("")
+	stop()
+	book(1)
+	return err
 }
 
 // destOf routes a particle to the owner of its cell.
 func (s *Solver) destOf(i int) int { return int(s.Bal.CellOwner[s.St.Cell[i]]) }
 
 // Step runs one DSMC timestep (paper Fig. 1 loop body) and records modeled
-// component times. step is the 0-based index.
+// component times. step is the 0-based index. Every phase runs through
+// s.phase, which fills the step's traffic ledger.
 func (s *Solver) Step(step int) error {
 	// Cancellation point: a canceled world aborts here before starting
 	// more work; ranks blocked inside collectives abort at their next
 	// receive instead. CheckCancel panics with *simmpi.CancelError, which
 	// World.Run classifies as simmpi.ErrCanceled.
 	s.Comm.CheckCancel()
-	w := NewWork()
-	w.CGOwnedNNZ = s.ownedNNZ
-	traffic := make(map[string]simmpi.PhaseStats)
+	w := Work{CGOwnedNNZ: s.ownedNNZ}
+	clear(s.ledger)
 	s.mr.BeginStep(step)
 
-	// ---- Inject ----
-	stop := s.mr.Time(CompInject)
-	nH := s.injectCount(s.Cfg.InjectHPerStep)
-	nIon := s.injectCount(s.Cfg.InjectIonPerStep)
-	s.injector.Inject(s.St, particle.SampleSpec{
-		Sp: particle.H, Count: nH, Temperature: s.Cfg.Temperature, Drift: s.Cfg.Drift,
-	}, s.rng)
-	s.injector.Inject(s.St, particle.SampleSpec{
-		Sp: particle.HPlus, Count: nIon, Temperature: s.Cfg.Temperature, Drift: s.Cfg.Drift,
-	}, s.rng)
-	w.Injected += int64(nH + nIon)
-	stop()
-
-	// ---- DSMC_Move (neutrals) ----
-	stop = s.mr.Time(CompDSMCMove)
-	ms := dsmc.Move(s.St, s.Ref.Coarse, s.Cfg.DtDSMC, s.wall, dsmc.Neutrals, s.rng, s.pool, &s.moveScratch)
-	w.MoveStepsDSMC += int64(ms.Moved + ms.Crossings + ms.WallHits)
-	if s.surf != nil {
-		s.surf.Advance(s.Cfg.DtDSMC)
-	}
-	stop()
-
-	// ---- DSMC_Exchange ----
-	stop = s.mr.Time(CompDSMCExchange)
-	s.Comm.SetPhase(CompDSMCExchange)
-	exStats, err := exchange.Exchange(s.Comm, s.St, s.destOf, s.Cfg.Strategy)
-	if err != nil {
+	if err := s.phase(CompInject, func() error {
+		nH := s.injectCount(s.Cfg.InjectHPerStep)
+		nIon := s.injectCount(s.Cfg.InjectIonPerStep)
+		s.injector.Inject(s.St, particle.SampleSpec{
+			Sp: particle.H, Count: nH, Temperature: s.Cfg.Temperature, Drift: s.Cfg.Drift,
+		}, s.rng)
+		s.injector.Inject(s.St, particle.SampleSpec{
+			Sp: particle.HPlus, Count: nIon, Temperature: s.Cfg.Temperature, Drift: s.Cfg.Drift,
+		}, s.rng)
+		w.Injected += int64(nH + nIon)
+		return nil
+	}); err != nil {
 		return err
 	}
-	s.Comm.SetPhase("")
-	stop()
-	traffic[CompDSMCExchange] = s.phaseDelta(CompDSMCExchange)
-	w.PackedBytes[CompDSMCExchange] = traffic[CompDSMCExchange].Bytes
-	s.Stats.MigratedDSMC += int64(exStats.Sent)
 
-	// ---- Reindex ----
-	stop = s.mr.Time(CompReindex)
-	s.Comm.SetPhase(CompReindex)
-	prefix := s.Comm.ExscanInt64([]int64{int64(s.St.Len())})[0]
-	s.St.AssignIDs(prefix)
-	s.Comm.SetPhase("")
-	stop()
-	traffic[CompReindex] = s.phaseDelta(CompReindex)
-	w.Reindexed += int64(s.St.Len())
+	if err := s.phase(CompDSMCMove, func() error {
+		ms := dsmc.Move(s.St, s.Ref.Coarse, s.Cfg.DtDSMC, s.wall, dsmc.Neutrals, s.rng, s.pool, &s.moveScratch)
+		w.MoveStepsDSMC += int64(ms.Moved + ms.Crossings + ms.WallHits)
+		if s.surf != nil {
+			s.surf.Advance(s.Cfg.DtDSMC)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
 
-	// ---- Colli_React ----
-	stop = s.mr.Time(CompColliReact)
-	groups := dsmc.GroupByCell(s.St, s.Ref.Coarse.NumCells(), nil)
-	cs := s.collider.Collide(s.St, groups, s.Ref.Coarse.Volumes, s.Cfg.DtDSMC, s.rng, s.pool)
-	stop()
-	w.Candidates += int64(cs.Candidates)
-	w.Collisions += int64(cs.Collisions)
-	s.Stats.Collisions += int64(cs.Collisions)
-	s.Stats.Reactions += int64(cs.Reactions)
-	s.Stats.CreatedParticles += int64(cs.Created)
-	s.Stats.RemovedParticles += int64(cs.Removed)
+	if err := s.phase(CompDSMCExchange, func() error {
+		ex, err := exchange.Exchange(s.Comm, s.St, s.destOf, s.Cfg.Strategy)
+		s.Stats.MigratedDSMC += int64(ex.Sent)
+		return err
+	}); err != nil {
+		return err
+	}
 
-	// ---- PIC substeps ----
+	if err := s.phase(CompReindex, func() error {
+		prefix := s.Comm.ExscanInt64([]int64{int64(s.St.Len())})[0]
+		s.St.AssignIDs(prefix)
+		w.Reindexed += int64(s.St.Len())
+		return nil
+	}); err != nil {
+		return err
+	}
+
+	if err := s.phase(CompColliReact, func() error {
+		groups := dsmc.GroupByCell(s.St, s.Ref.Coarse.NumCells(), nil)
+		cs := s.collider.Collide(s.St, groups, s.Ref.Coarse.Volumes, s.Cfg.DtDSMC, s.rng, s.pool)
+		w.Candidates += int64(cs.Candidates)
+		w.Collisions += int64(cs.Collisions)
+		s.Stats.Collisions += int64(cs.Collisions)
+		s.Stats.Reactions += int64(cs.Reactions)
+		s.Stats.CreatedParticles += int64(cs.Created)
+		s.Stats.RemovedParticles += int64(cs.Removed)
+		return nil
+	}); err != nil {
+		return err
+	}
+
 	for sub := 0; sub < s.Cfg.PICSubsteps; sub++ {
-		// Cancellation point: each substep runs exchanges and a full CG
-		// solve, and a rank whose messages are already queued can sail
-		// through all of them without ever blocking (the mailbox hands
-		// over delivered messages without consulting the canceled flag).
-		// Checking here bounds cancellation latency to one substep. Every
-		// rank executes the same check, so the abort is symmetric and
-		// replay-safe.
-		s.Comm.CheckCancel()
-		// PIC_Move: Boris kick with the previous substep's field, then
-		// ballistic movement of charged particles.
-		stop = s.mr.Time(CompPICMove)
-		s.locateCharged()
-		pushed := 0
-		for i := 0; i < s.St.Len(); i++ {
-			if s.St.Sp[i].IsCharged() {
-				pushed++
-			}
-		}
-		pic.BorisPush(s.St, s.eField, s.fineCell, s.Cfg.BField, s.Cfg.DtPIC, s.pool)
-		w.Pushed += int64(pushed)
-		w.Deposited += int64(pushed) // pre-kick field gather locate
-		msp := dsmc.Move(s.St, s.Ref.Coarse, s.Cfg.DtPIC, s.wall, dsmc.Charged, s.rng, s.pool, &s.moveScratch)
-		w.MoveStepsPIC += int64(msp.Moved + msp.Crossings + msp.WallHits)
-		stop()
-
-		// PIC_Exchange.
-		stop = s.mr.Time(CompPICExchange)
-		s.Comm.SetPhase(CompPICExchange)
-		exp, err := exchange.Exchange(s.Comm, s.St, s.destOf, s.Cfg.Strategy)
-		if err != nil {
+		if err := s.picSubstep(&w); err != nil {
 			return err
 		}
-		s.Comm.SetPhase("")
-		stop()
-		s.Stats.MigratedPIC += int64(exp.Sent)
-
-		// Poisson_Solve: deposit, reduce, distributed CG, field update.
-		// The deposit is additionally timed as its own nested sub-phase:
-		// it scales with local particle count while the CG scales with
-		// owned rows, and the trace should show which one moved.
-		stop = s.mr.Time(CompPoisson)
-		s.Comm.SetPhase(CompPoisson)
-		stopDep := s.mr.Time(CompDeposit)
-		for n := range s.nodeCharge {
-			s.nodeCharge[n] = 0
-		}
-		s.locateCharged()
-		pic.DepositCharge(s.St, s.Ref, s.weightOf, s.nodeCharge, s.fineCell, s.pool, &s.depScratch)
-		stopDep()
-		res, err := s.dist.Solve(s.Comm, s.nodeCharge, s.phi, sparse.SolveOptions{
-			Tol: s.Cfg.PoissonTol, MaxIter: s.Cfg.PoissonMaxIter,
-		})
-		if err != nil {
-			return err
-		}
-		s.poisson.ElectricFieldForCells(s.phi, s.ownedFine, s.eField)
-		s.Comm.SetPhase("")
-		stop()
-		w.CGIterations += int64(res.Iterations)
-		w.Deposited += int64(pushed)
-		s.Stats.PoissonIters += int64(res.Iterations)
-		s.Stats.PoissonResidual = res.Residual
-		// Solver-convergence counters for the observability layer: a
-		// regression that makes CG iterate more (or stall farther from
-		// convergence) shows in the bench trajectory, not just wall time.
-		// The residual rides as an integer count in 1e-15 units (counters
-		// are int64); identical on all ranks — both come off allreduces.
-		s.mr.Count(MetricPoissonIters, int64(res.Iterations))
-		s.mr.Count(MetricPoissonResidualFemto, int64(res.Residual*1e15))
 	}
-	traffic[CompPICExchange] = s.phaseDelta(CompPICExchange)
-	w.PackedBytes[CompPICExchange] = traffic[CompPICExchange].Bytes
-	traffic[CompPoisson] = s.phaseDelta(CompPoisson)
-	// Owner-local mode labels its once-per-solve boundary exchanges with
-	// dedicated sub-phases (charge reduction, consumer phi assembly); fold
-	// them into the Poisson component so the cost model and the rebalance
-	// decision see the whole solve. Legacy modes never enter those phases,
-	// so the deltas are zero and the fold leaves their byte streams — and
-	// replay baselines — untouched.
-	for _, sub := range []string{pic.PhasePoissonCharge, pic.PhasePoissonAssemble} {
-		d := s.phaseDelta(sub)
-		tp := traffic[CompPoisson]
-		tp.Messages += d.Messages
-		tp.Bytes += d.Bytes
-		tp.Local += d.Local
-		traffic[CompPoisson] = tp
-	}
-	// Resident solver footprint, as step-scoped gauges (levels: the state
-	// only changes when a rebalance rebuilds the solver).
-	rs := s.dist.ResidentState()
-	s.mr.Gauge(GaugePoissonOwnedRows, int64(rs.OwnedRows))
-	s.mr.Gauge(GaugePoissonGhostCols, int64(rs.GhostCols))
-	s.mr.Gauge(GaugePoissonMatrixBytes, rs.MatrixBytes)
-	s.mr.Gauge(GaugePoissonVectorBytes, rs.VectorBytes)
-	s.mr.Gauge(GaugePoissonIndexMapBytes, rs.IndexMapBytes)
+	// The last solve's residual, in 1e-15 units (counters are integers).
+	s.mr.Count(MetricPoissonResidualFemto, int64(s.Stats.PoissonResidual*1e15))
 
 	// World-wide migration traffic for the congestion term of the cost
 	// model (real codes allreduce profiling counters the same way). The
 	// instrumentation traffic itself is unlabeled and stays out of the
 	// component times.
-	totals := s.reduceTotals(traffic, CompDSMCExchange, CompPICExchange, CompPoisson)
+	totals := s.reduceTotals(CompDSMCExchange, CompPICExchange, CompPoisson)
+	dc := s.Cfg.Strategy == exchange.Distributed
+	times := s.Cfg.Cost.Times(&w, s.ledger, totals, s.Comm.Size(), dc)
 
-	// ---- Component times (modeled) ----
-	times := s.Cfg.Cost.Times(w, traffic, totals, s.Comm.Size(), s.Cfg.Strategy == exchange.Distributed)
-
-	// ---- Rebalance (Algorithm 1) ----
+	// Rebalance (Algorithm 1). With MeasuredLB the lii decision runs on the
+	// step's measured phase times instead of the modeled ones (the
+	// timer-augmented cost function).
 	if s.Cfg.LB != nil {
-		st := balance.StepTimes{
-			Total:     Total(times),
-			Migration: times[CompDSMCExchange] + times[CompPICExchange],
-			Poisson:   times[CompPoisson],
-		}
+		lbTimes := times
 		if s.Cfg.MeasuredLB {
-			// Timer-augmented cost function: the lii decision runs on the
-			// measured per-phase wall times of this step instead of the
-			// modeled ones. Measured Total excludes the (not yet run)
-			// rebalance phase, exactly like the modeled one at this point.
-			mt := s.mr.StepPhaseSeconds()
-			st = balance.StepTimes{
-				Total: mt[CompInject] + mt[CompDSMCMove] + mt[CompDSMCExchange] +
-					mt[CompReindex] + mt[CompColliReact] + mt[CompPICMove] +
-					mt[CompPICExchange] + mt[CompPoisson],
-				Migration: mt[CompDSMCExchange] + mt[CompPICExchange],
-				Poisson:   mt[CompPoisson],
-			}
+			lbTimes = s.mr.StepPhaseSeconds()
 		}
-		stop = s.mr.Time(CompRebalance)
-		res, err := s.Bal.MaybeRebalance(s.Comm, s.St, st)
-		if err != nil {
-			return err
-		}
-		s.Stats.LIIHistory = append(s.Stats.LIIHistory, res.LII)
-		if res.Rebalanced {
-			s.Stats.Rebalances++
-			s.Stats.MigratedRebalance += int64(res.Migrated)
-			if err := s.rebuildOwnershipState(); err != nil {
+		if err := s.phase(CompRebalance, func() error {
+			res, err := s.Bal.MaybeRebalance(s.Comm, s.St, balance.StepTimes{
+				Total:     Total(lbTimes),
+				Migration: lbTimes[CompDSMCExchange] + lbTimes[CompPICExchange],
+				Poisson:   lbTimes[CompPoisson],
+			})
+			s.Stats.LIIHistory = append(s.Stats.LIIHistory, res.LII)
+			if err != nil || !res.Rebalanced {
 				return err
 			}
+			s.Stats.Rebalances++
+			s.Stats.MigratedRebalance += int64(res.Migrated)
 			w.PartCells += int64(s.Ref.Coarse.NumCells())
 			if s.Cfg.LB.UseKM {
 				n3 := int64(s.Comm.Size())
 				w.KMRanks3 += n3 * n3 * n3
 			}
+			return s.rebuildOwnershipState()
+		}); err != nil {
+			return err
 		}
-		stop()
-		traffic[CompRebalance] = s.phaseDelta(CompRebalance)
-		traffic[rebalanceMigrate] = s.phaseDelta(rebalanceMigrate)
-		w.PackedBytes[rebalanceMigrate] = traffic[rebalanceMigrate].Bytes
-		totals[rebalanceMigrate] = s.reduceTotals(traffic, rebalanceMigrate)[rebalanceMigrate]
-		// Recompute times including the rebalance component.
-		times = s.Cfg.Cost.Times(w, traffic, totals, s.Comm.Size(), s.Cfg.Strategy == exchange.Distributed)
+		// Reprice the step with the rebalance component included.
+		totals[balance.MigratePhase] = s.reduceTotals(balance.MigratePhase)[balance.MigratePhase]
+		times = s.Cfg.Cost.Times(&w, s.ledger, totals, s.Comm.Size(), dc)
 	}
 
 	for k, v := range times {
@@ -536,13 +471,12 @@ func (s *Solver) Step(step int) error {
 	}
 	s.Stats.StepTotals = append(s.Stats.StepTotals, Total(times))
 	s.Stats.ParticleHistory = append(s.Stats.ParticleHistory, s.St.Len())
-	s.Stats.Work.Add(w)
+	s.Stats.Work.Add(&w)
 
 	// Step counters for the observability layer: the population and the
-	// per-phase traffic this rank actually put on the (simulated) wire,
-	// straight off the simmpi counters' step deltas.
+	// per-phase traffic this rank actually put on the (simulated) wire.
 	s.mr.Count("particles", int64(s.St.Len()))
-	for ph, tr := range traffic {
+	for ph, tr := range s.ledger {
 		if tr.Messages == 0 && tr.Bytes == 0 {
 			continue
 		}
@@ -564,12 +498,87 @@ func (s *Solver) Step(step int) error {
 	return nil
 }
 
-// reduceTotals allreduces the given phases' (messages, bytes) across all
-// ranks, returning per-phase world totals.
-func (s *Solver) reduceTotals(traffic map[string]simmpi.PhaseStats, phases ...string) map[string]simmpi.PhaseStats {
+// picSubstep runs one PIC substep of the Fig. 1 loop: PIC_Move,
+// PIC_Exchange and Poisson_Solve, adding their work to w.
+func (s *Solver) picSubstep(w *Work) error {
+	// Cancellation point: each substep runs exchanges and a full CG
+	// solve, and a rank whose messages are already queued can sail
+	// through all of them without ever blocking (the mailbox hands
+	// over delivered messages without consulting the canceled flag).
+	// Checking here bounds cancellation latency to one substep. Every
+	// rank executes the same check, so the abort is symmetric and
+	// replay-safe.
+	s.Comm.CheckCancel()
+	// PIC_Move: Boris kick with the previous substep's field, then
+	// ballistic movement of charged particles. Each pushed particle
+	// is located twice per substep: for the pre-kick field gather here
+	// and for the deposit in Poisson_Solve.
+	if err := s.phase(CompPICMove, func() error {
+		s.locateCharged()
+		pushed := int64(s.St.CountCharged())
+		pic.BorisPush(s.St, s.eField, s.fineCell, s.Cfg.BField, s.Cfg.DtPIC, s.pool)
+		w.Pushed += pushed
+		w.Deposited += 2 * pushed
+		msp := dsmc.Move(s.St, s.Ref.Coarse, s.Cfg.DtPIC, s.wall, dsmc.Charged, s.rng, s.pool, &s.moveScratch)
+		w.MoveStepsPIC += int64(msp.Moved + msp.Crossings + msp.WallHits)
+		return nil
+	}); err != nil {
+		return err
+	}
+
+	if err := s.phase(CompPICExchange, func() error {
+		ex, err := exchange.Exchange(s.Comm, s.St, s.destOf, s.Cfg.Strategy)
+		s.Stats.MigratedPIC += int64(ex.Sent)
+		return err
+	}); err != nil {
+		return err
+	}
+
+	// Poisson_Solve: deposit, reduce, distributed CG, field update.
+	// The deposit is additionally timed as its own nested sub-phase:
+	// it scales with local particle count while the CG scales with
+	// owned rows, and the trace should show which one moved.
+	if err := s.phase(CompPoisson, func() error {
+		stopDep := s.mr.Time(CompDeposit)
+		clear(s.nodeCharge)
+		s.locateCharged()
+		pic.DepositCharge(s.St, s.Ref, s.weightOf, s.nodeCharge, s.fineCell, s.pool, &s.depScratch)
+		stopDep()
+		res, err := s.dist.Solve(s.Comm, s.nodeCharge, s.phi, sparse.SolveOptions{
+			Tol: s.Cfg.PoissonTol, MaxIter: s.Cfg.PoissonMaxIter,
+		})
+		if err != nil {
+			return err
+		}
+		s.poisson.ElectricFieldForCells(s.phi, s.ownedFine, s.eField)
+		w.CGIterations += int64(res.Iterations)
+		s.Stats.PoissonIters += int64(res.Iterations)
+		s.Stats.PoissonResidual = res.Residual
+		// Solver-convergence counter, so a CG regression shows in the
+		// bench trajectory, not just wall time. Identical on all ranks:
+		// the iteration count and residual both come off allreduces.
+		s.mr.Count(MetricPoissonIters, int64(res.Iterations))
+		return nil
+	}); err != nil {
+		return err
+	}
+	// Resident solver footprint, as gauges (levels: the state only
+	// changes when a rebalance rebuilds the solver).
+	rs := s.dist.ResidentState()
+	s.mr.Gauge(GaugePoissonOwnedRows, int64(rs.OwnedRows))
+	s.mr.Gauge(GaugePoissonGhostCols, int64(rs.GhostCols))
+	s.mr.Gauge(GaugePoissonMatrixBytes, rs.MatrixBytes)
+	s.mr.Gauge(GaugePoissonVectorBytes, rs.VectorBytes)
+	s.mr.Gauge(GaugePoissonIndexMapBytes, rs.IndexMapBytes)
+	return nil
+}
+
+// reduceTotals allreduces the given phases' (messages, bytes) in this
+// step's ledger across all ranks, returning per-phase world totals.
+func (s *Solver) reduceTotals(phases ...string) map[string]simmpi.PhaseStats {
 	vals := make([]int64, 0, 2*len(phases))
 	for _, ph := range phases {
-		t := traffic[ph]
+		t := s.ledger[ph]
 		vals = append(vals, t.Messages-t.Local, t.Bytes)
 	}
 	red := s.Comm.AllreduceInt64(vals)

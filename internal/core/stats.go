@@ -8,9 +8,10 @@ const (
 	// MetricPoissonIters is the CG iteration count summed over the step's
 	// PIC substeps.
 	MetricPoissonIters = "Poisson_Iters"
-	// MetricPoissonResidualFemto is the last substep's final relative
-	// residual in 1e-15 units (counters are integers; 1 femto resolution
-	// comfortably brackets every tolerance in use).
+	// MetricPoissonResidualFemto is the final relative residual of the
+	// step's last solve in 1e-15 units, recorded once per step (counters
+	// are integers; 1 femto resolution comfortably brackets every
+	// tolerance in use).
 	MetricPoissonResidualFemto = "Poisson_Residual_femto"
 )
 

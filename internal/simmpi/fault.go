@@ -42,7 +42,9 @@ type FaultPlan struct {
 	// AtRecv fires on the victim's Nth Recv call (1-based; 0 disables).
 	AtRecv int
 	// AtPhase fires when the victim enters the named phase via SetPhase
-	// ("" disables); AtPhaseN selects the Nth entry (default 1st).
+	// ("" disables); AtPhaseN selects the Nth entry (default 1st). An
+	// entry is a SetPhase from the unlabeled state: relabeling inside a
+	// phase (a sub-phase, the restore of its parent's label) is not one.
 	AtPhase  string
 	AtPhaseN int
 	// DropSends switches from kill mode to message-drop mode: instead of

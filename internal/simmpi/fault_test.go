@@ -73,6 +73,30 @@ func TestFaultKillAtPhase(t *testing.T) {
 	}
 }
 
+// Relabeling inside a phase — a sub-phase, then the restore of the parent
+// label — is not a new entry of the parent: only SetPhase from the
+// unlabeled state counts toward AtPhaseN.
+func TestFaultPhaseEntryIgnoresRelabel(t *testing.T) {
+	w := NewWorld(2, Options{Fault: &FaultPlan{Rank: 1, AtPhase: "Poisson", AtPhaseN: 3}})
+	var entered [2]int
+	rep := w.RunWithReport(func(c *Comm) {
+		for i := 0; i < 4; i++ {
+			c.SetPhase("Poisson")
+			entered[c.Rank()]++
+			c.SetPhase("Poisson_Charge")
+			c.Barrier()
+			c.SetPhase("Poisson") // restore: not an entry
+			c.SetPhase("")
+		}
+	})
+	if !errors.Is(rep.Err, ErrRankFailed) {
+		t.Fatalf("want ErrRankFailed, got %v", rep.Err)
+	}
+	if entered[1] != 2 {
+		t.Errorf("victim completed %d entries before dying, want 2 (dies on the 3rd)", entered[1])
+	}
+}
+
 // A rank killed mid-Allreduce must surface ErrRankFailed — not a deadlock
 // panic — on every surviving rank.
 func TestFaultMidAllreduceSurfacesRankFailed(t *testing.T) {

@@ -324,9 +324,10 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.world.n }
 
 // SetPhase labels subsequent traffic with the given phase name (e.g.
-// "DSMC_Exchange"); counters are accumulated per phase.
+// "DSMC_Exchange"); counters are accumulated per phase. Only a label set
+// from the unlabeled state enters a phase (see FaultPlan.AtPhase).
 func (c *Comm) SetPhase(name string) {
-	if c.fault != nil && name != "" && name == c.fault.AtPhase {
+	if c.fault != nil && c.phase == "" && name != "" && name == c.fault.AtPhase {
 		c.phaseHits++
 		n := c.fault.AtPhaseN
 		if n <= 0 {
